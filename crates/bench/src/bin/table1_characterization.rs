@@ -17,8 +17,5 @@ fn main() {
     } else {
         "table1"
     };
-    clear_bench::experiments::run_to_stdout(
-        name,
-        &clear_bench::SuiteOptions::from_arg_slice(&args),
-    );
+    clear_bench::experiments::run_to_stdout(name, &clear_bench::SuiteOptions::parse_or_exit(&args));
 }

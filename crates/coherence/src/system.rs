@@ -836,29 +836,36 @@ impl CoherenceSystem {
     }
 
     /// Releases the lock `core` holds on `line`. No-op if not held.
-    pub fn unlock_line(&mut self, core: CoreId, line: LineAddr) {
+    /// Returns `true` if the directory recorded `core` as the holder.
+    pub fn unlock_line(&mut self, core: CoreId, line: LineAddr) -> bool {
         if let Some(m) = self.per_core[core.0].cache.get_mut(line) {
             if m.locked {
                 m.locked = false;
                 self.stats.unlocks += 1;
             }
         }
-        if let Some(e) = self.dir_get_mut(line) {
-            if e.locked_by == Some(core) {
+        match self.dir_get_mut(line) {
+            Some(e) if e.locked_by == Some(core) => {
                 e.locked_by = None;
+                true
             }
+            _ => false,
         }
     }
 
     /// Bulk-releases every lock `core` holds (the XEnd bulk unlock of §5.1).
-    pub fn unlock_all(&mut self, core: CoreId) {
+    /// Returns `true` if any line was released — the only event that can
+    /// end another core's wait on a line lock.
+    pub fn unlock_all(&mut self, core: CoreId) -> bool {
         // Drain the tracked lock list instead of sweeping every cache way;
         // stale entries (released individually since) unlock as no-ops.
         let mut held = std::mem::take(&mut self.per_core[core.0].locks_held);
+        let mut released = false;
         for l in held.drain(..) {
-            self.unlock_line(core, l);
+            released |= self.unlock_line(core, l);
         }
         self.per_core[core.0].locks_held = held;
+        released
     }
 
     /// Clears `core`'s transactional read/write bits (commit or abort).

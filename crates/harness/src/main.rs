@@ -39,6 +39,16 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Parses the suite options shared by `run`, `serve`, `trace` and
+/// `analyze`; a malformed option prints the error and the usage text and
+/// exits 2.
+fn suite_options(args: &[String]) -> SuiteOptions {
+    SuiteOptions::from_arg_slice(args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -268,7 +278,7 @@ fn serve(args: &[String]) {
         .position(|a| a == "--json")
         .map(|i| rest.remove(i))
         .is_some();
-    let opts = SuiteOptions::from_arg_slice(&rest);
+    let opts = suite_options(&rest);
     let sopts = ServeOptions {
         workload: workload.clone(),
         size: opts.size,
@@ -376,7 +386,7 @@ fn trace(args: &[String]) {
         .position(|a| a == "--json")
         .map(|i| rest.remove(i))
         .is_some();
-    let opts = SuiteOptions::from_arg_slice(&rest);
+    let opts = suite_options(&rest);
     let seed = opts.seeds[0];
     let m = trace_export::run_traced(workload, Preset::C, opts.cores, 5, opts.size, seed);
     let metrics = trace_export::derive_metrics(&m, 8);
@@ -456,7 +466,7 @@ fn analyze(args: &[String]) {
         .position(|a| a == "--plan")
         .map(|i| rest.remove(i))
         .is_some();
-    let opts = SuiteOptions::from_arg_slice(&rest);
+    let opts = suite_options(&rest);
     let out = analyze_output(workload, &opts, with_plans).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2);
@@ -498,7 +508,7 @@ fn run(args: &[String]) {
         .position(|a| a == "--json")
         .map(|i| rest.remove(i))
         .is_some();
-    let opts = SuiteOptions::from_arg_slice(&rest);
+    let opts = suite_options(&rest);
     let selected: Vec<&Experiment> = if name == "all" {
         EXPERIMENTS.iter().collect()
     } else {

@@ -87,24 +87,43 @@ pub fn split_threads(total: usize) -> (usize, usize) {
     ((total / sim).max(1), sim)
 }
 
+/// The suite options, as printed under a parse error or `--help`.
+const OPTIONS_USAGE: &str = "options: --size tiny|small|medium --cores N --seeds N \
+     --sweep full|quick|none --bench NAME --backend NAME --workers N --threads N";
+
+/// Parses the value of a numeric option.
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} expects a non-negative integer, got {value:?}"))
+}
+
 impl SuiteOptions {
-    /// Parses `std::env::args()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed options.
+    /// Parses `std::env::args()` with [`SuiteOptions::parse_or_exit`].
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::from_arg_slice(&args)
+        Self::parse_or_exit(&args)
+    }
+
+    /// Parses `args`; on a malformed option, prints the error and the
+    /// options usage line and exits with status 2.
+    pub fn parse_or_exit(args: &[String]) -> Self {
+        Self::from_arg_slice(args).unwrap_or_else(|e| {
+            eprintln!("{e}\n{OPTIONS_USAGE}");
+            std::process::exit(2);
+        })
     }
 
     /// Parses an explicit argument list (the CLI passes the tail of its
-    /// own argument vector here).
+    /// own argument vector here). `--help` prints the options usage line
+    /// and exits 0.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message on malformed options.
-    pub fn from_arg_slice(args: &[String]) -> Self {
+    /// A message naming the offending option: an unknown option, size,
+    /// sweep, benchmark or backend; a missing or non-numeric value; or a
+    /// zero `--cores` / `--seeds`.
+    pub fn from_arg_slice(args: &[String]) -> Result<Self, String> {
         let mut o = SuiteOptions::default();
         let mut picked: Vec<&'static str> = Vec::new();
         let mut picked_backends: Vec<&'static str> = Vec::new();
@@ -113,60 +132,64 @@ impl SuiteOptions {
             let mut val = || {
                 args.next()
                     .cloned()
-                    .unwrap_or_else(|| panic!("missing value for {a}"))
+                    .ok_or_else(|| format!("missing value for {a}"))
             };
             match a.as_str() {
                 "--size" => {
-                    o.size = match val().as_str() {
+                    o.size = match val()?.as_str() {
                         "tiny" => Size::Tiny,
                         "small" => Size::Small,
                         "medium" => Size::Medium,
-                        other => panic!("unknown size {other}"),
+                        other => return Err(format!("unknown size {other}")),
                     }
                 }
-                "--cores" => o.cores = val().parse().expect("--cores N"),
+                "--cores" => {
+                    o.cores = number(a, &val()?)?;
+                    if o.cores == 0 {
+                        return Err("--cores must be at least 1".to_string());
+                    }
+                }
                 "--seeds" => {
-                    let n: u64 = val().parse().expect("--seeds N");
+                    let n: u64 = number(a, &val()?)?;
+                    if n == 0 {
+                        return Err("--seeds must be at least 1".to_string());
+                    }
                     o.seeds = (1..=n).collect();
                 }
                 "--sweep" => {
-                    o.retry_sweep = match val().as_str() {
+                    o.retry_sweep = match val()?.as_str() {
                         "full" => (1..=10).collect(),
                         "quick" => vec![2, 5, 8],
                         "none" => vec![5],
-                        other => panic!("unknown sweep {other}"),
+                        other => return Err(format!("unknown sweep {other}")),
                     }
                 }
                 "--bench" => {
-                    let name = val();
+                    let name = val()?;
                     let known = BENCHMARK_NAMES
                         .iter()
                         .find(|n| **n == name)
-                        .unwrap_or_else(|| panic!("unknown benchmark {name}"));
+                        .ok_or_else(|| format!("unknown benchmark {name}"))?;
                     picked.push(known);
                 }
                 "--backend" => {
-                    let name = val();
+                    let name = val()?;
                     let known = BackendId::from_name(&name)
-                        .unwrap_or_else(|| panic!("unknown backend {name}"));
+                        .ok_or_else(|| format!("unknown backend {name}"))?;
                     picked_backends.push(known.name());
                 }
-                "--workers" => o.workers = val().parse::<usize>().expect("--workers N").max(1),
+                "--workers" => o.workers = number::<usize>(a, &val()?)?.max(1),
                 "--threads" => {
-                    let total: usize = val().parse().expect("--threads N");
+                    let total: usize = number(a, &val()?)?;
                     let (workers, sim) = split_threads(total);
                     o.workers = workers;
                     o.sim_threads = sim;
                 }
                 "--help" | "-h" => {
-                    eprintln!(
-                        "options: --size tiny|small|medium --cores N --seeds N \
-                         --sweep full|quick|none --bench NAME --backend NAME \
-                         --workers N --threads N"
-                    );
+                    eprintln!("{OPTIONS_USAGE}");
                     std::process::exit(0);
                 }
-                other => panic!("unknown option {other}"),
+                other => return Err(format!("unknown option {other}")),
             }
         }
         if !picked.is_empty() {
@@ -175,7 +198,7 @@ impl SuiteOptions {
         if !picked_backends.is_empty() {
             o.backends = picked_backends;
         }
-        o
+        Ok(o)
     }
 }
 
@@ -582,14 +605,43 @@ mod tests {
     #[test]
     fn threads_flag_splits_and_later_workers_overrides() {
         let args: Vec<String> = ["--threads", "8"].iter().map(|s| s.to_string()).collect();
-        let o = SuiteOptions::from_arg_slice(&args);
+        let o = SuiteOptions::from_arg_slice(&args).unwrap();
         assert_eq!((o.workers, o.sim_threads), (4, 2));
         let args: Vec<String> = ["--threads", "8", "--workers", "1"]
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let o = SuiteOptions::from_arg_slice(&args);
+        let o = SuiteOptions::from_arg_slice(&args).unwrap();
         assert_eq!((o.workers, o.sim_threads), (1, 2));
+    }
+
+    #[test]
+    fn malformed_options_are_errors_not_panics() {
+        let parse = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            SuiteOptions::from_arg_slice(&args).map(|_| ())
+        };
+        for bad in [
+            &["--cores", "0"][..],
+            &["--cores", "many"],
+            &["--seeds", "x"],
+            &["--seeds", "0"],
+            &["--threads", "-1"],
+            &["--workers", "two"],
+            &["--size", "huge"],
+            &["--sweep", "all"],
+            &["--bench", "nosuch"],
+            &["--backend", "nosuch"],
+            &["--cores"],
+            &["--frobnicate"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+        assert_eq!(
+            parse(&["--cores", "0"]),
+            Err("--cores must be at least 1".to_string())
+        );
+        assert!(parse(&["--cores", "1", "--seeds", "1", "--size", "tiny"]).is_ok());
     }
 
     #[test]
@@ -606,7 +658,7 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let o = SuiteOptions::from_arg_slice(&args);
+        let o = SuiteOptions::from_arg_slice(&args).unwrap();
         assert_eq!(o.backends, vec!["lrws", "clear"]);
     }
 

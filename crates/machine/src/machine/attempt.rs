@@ -1,10 +1,10 @@
 //! Attempt lifecycle: starting attempts in each mode, aborting with the
 //! Fig. 2 decision, committing, and the Fig. 1 footprint instrumentation.
+use super::park::Wait;
 use super::*;
 
 impl Machine {
     pub(super) fn start_attempt(&mut self, c: usize) {
-        let spin = self.config.timing.spin_interval;
         match self.cores[c].planned {
             RetryMode::Fallback => {
                 if self.fallback.try_write(CoreId(c)) {
@@ -27,14 +27,12 @@ impl Machine {
                     self.phases[c] = Phase::Running;
                     self.clocks[c] += self.config.timing.xbegin_cost;
                 } else {
-                    self.clocks[c] += spin;
-                    self.stats.fallback_wait_cycles += spin;
+                    self.poll_failed(c, Wait::Fallback);
                 }
             }
             RetryMode::NsCl | RetryMode::SCl => {
                 if self.fallback.writer().is_some() || !self.fallback.try_read(CoreId(c)) {
-                    self.clocks[c] += spin;
-                    self.stats.fallback_wait_cycles += spin;
+                    self.poll_failed(c, Wait::Fallback);
                     return;
                 }
                 let mode = if self.cores[c].planned == RetryMode::NsCl {
@@ -95,8 +93,7 @@ impl Machine {
                         self.stats.aborts.record(AbortKind::ExplicitFallback);
                         self.cores[c].explicit_fb_recorded = true;
                     }
-                    self.clocks[c] += spin;
-                    self.stats.fallback_wait_cycles += spin;
+                    self.poll_failed(c, Wait::Fallback);
                     return;
                 }
                 self.cores[c].explicit_fb_recorded = false;
@@ -143,6 +140,7 @@ impl Machine {
         // The abort penalty below advances `c`'s clock, possibly while `c`
         // is a *victim* of the core being stepped: tell the scheduler so
         // the heap re-keys this core after the current step.
+        debug_assert!(self.waits[c].is_none(), "parked core {c} aborted");
         self.sched_touched.push(c);
         let span = self.clocks[c].saturating_sub(self.cores[c].attempt_started_at);
         self.trace
@@ -164,13 +162,13 @@ impl Machine {
         self.cores[c].held_abort = None;
         self.cores[c].discovery = None;
         self.coherence.clear_tx(CoreId(c));
-        self.coherence.unlock_all(CoreId(c));
-        self.fallback.release_read(CoreId(c));
+        self.release_lines(c);
+        self.release_fallback_read(c);
         // An explicit abort on the fallback path (a program-level retry
         // loop) must release the write lock too, or every other thread
         // deadlocks behind it.
         if self.fallback.writer() == Some(CoreId(c)) {
-            self.fallback.release_write(CoreId(c));
+            self.release_fallback_write(c);
         }
 
         // S-CL aborts for non-conflict reasons mark the AR non-discoverable
@@ -324,10 +322,10 @@ impl Machine {
         self.coherence.clear_tx(CoreId(c));
         match mode {
             ExecMode::SCl | ExecMode::NsCl => {
-                self.coherence.unlock_all(CoreId(c));
-                self.fallback.release_read(CoreId(c));
+                self.release_lines(c);
+                self.release_fallback_read(c);
             }
-            ExecMode::Fallback => self.fallback.release_write(CoreId(c)),
+            ExecMode::Fallback => self.release_fallback_write(c),
             ExecMode::Speculative => {}
         }
         if self.cores[c].power {

@@ -13,10 +13,12 @@
 //!
 //! A batch is the maximal *prefix*, in pop order, of minimum-clock cores
 //! whose next step classifies as local, cut at the first global step or
-//! duplicate shard claim. Classification runs against the pre-batch state,
-//! which is sound precisely because every admitted step is local: no
-//! member can change state another member's classification or execution
-//! reads.
+//! duplicate shard claim. A parked core (see the `park` module) whose
+//! virtual poll falls at the batch clock counts as such a global step: it
+//! is out of the heap, so formation cuts at its id explicitly.
+//! Classification runs against the pre-batch state, which is sound
+//! precisely because every admitted step is local: no member can change
+//! state another member's classification or execution reads.
 //!
 //! Local step kinds (mirroring the sequential paths they replace exactly):
 //!
@@ -98,8 +100,16 @@ impl Machine {
             claims.push(s);
         }
         sched.remove(first);
+        // A parked core's virtual poll at this clock cuts the batch where
+        // per-poll stepping would have popped it (computed on demand: most
+        // attempts end at the first candidate).
+        let mut cut: Option<Option<usize>> = None;
         while let Some(c) = sched.peek() {
             if self.clocks[c] != clock {
+                break;
+            }
+            let cut = *cut.get_or_insert_with(|| self.parked_poll_cut(first, clock));
+            if cut.is_some_and(|w| w < c) {
                 break;
             }
             let Some(step) = self.classify_local(c, clock) else {

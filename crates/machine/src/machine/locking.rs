@@ -1,5 +1,6 @@
 //! The NS-CL/S-CL lock-acquisition phase: lexicographical order, group
 //! locking with the ALT Hit-bit fast path, and lock-conflict policy.
+use super::park::Wait;
 use super::*;
 
 impl Machine {
@@ -55,9 +56,7 @@ impl Machine {
         };
         self.scratch_victims = victims;
         if spin {
-            self.clocks[c] += self.config.timing.spin_interval;
-            self.cores[c].lock_wait_acc += self.config.timing.spin_interval;
-            self.stats.lock_spin_cycles += self.config.timing.spin_interval;
+            self.poll_failed(c, Wait::Line);
             self.scratch_group = group;
             return;
         }
@@ -106,11 +105,7 @@ impl Machine {
                     idx: idx + group.len(),
                 };
             }
-            Err(LockFail::LockedBy(_)) => {
-                self.clocks[c] += self.config.timing.spin_interval;
-                self.cores[c].lock_wait_acc += self.config.timing.spin_interval;
-                self.stats.lock_spin_cycles += self.config.timing.spin_interval;
-            }
+            Err(LockFail::LockedBy(_)) => self.charge_polls(c, Wait::Line, 1),
             Err(LockFail::Capacity) => {
                 // Should not happen (discovery verified the fit); treat as a
                 // capacity abort and fall back to a speculative retry.

@@ -11,6 +11,11 @@
 //! two-phase coherence API; conflicting remote transactions are resolved by
 //! the HTM policy (requester-wins / PowerTM / §5.2 NACK rules).
 //!
+//! A core whose step is a failed lock poll is *parked* out of the
+//! scheduler until a release can unblock it; its skipped polls are then
+//! charged in closed form, so every counter matches per-poll stepping
+//! (see the `park` module).
+//!
 //! # Simplifications vs. the paper (documented per DESIGN.md)
 //!
 //! * NS-CL/S-CL acquire all their locks *before* executing the body rather
@@ -189,6 +194,10 @@ pub struct Machine {
     clocks: Vec<u64>,
     /// Per-core phases, indexed by core id (SoA twin of `cores`).
     phases: Vec<Phase>,
+    /// What each core is parked on, indexed by core id: `Some` exactly
+    /// while it is out of the scheduler heap waiting for a release (see
+    /// the `park` module).
+    waits: Vec<Option<park::Wait>>,
     /// Resolved intra-run worker budget (from
     /// [`MachineConfig::sim_threads`]; `1` disables parallel stepping).
     sim_threads: usize,
@@ -203,6 +212,13 @@ pub struct Machine {
     /// Cores whose clocks were pushed forward by a remote abort since the
     /// last scheduler step; the run loop re-keys their heap entries.
     sched_touched: Vec<usize>,
+    /// Cores parked on a failed lock poll, in no particular order.
+    parked: Vec<usize>,
+    /// Set by a failed poll: the run loop parks the stepping core.
+    park_request: Option<park::Wait>,
+    /// Raised by a release during the current step; the run loop then
+    /// re-checks the parked cores.
+    wake: bool,
     /// Simulator-kernel counters for the current run (see [`crate::perf`]).
     perf: PerfCounters,
     /// Opt-in metrics registry and hooks (see the `metrics` module).
@@ -267,11 +283,15 @@ impl Machine {
             cores,
             clocks: vec![0; config.cores],
             phases: vec![Phase::Idle; config.cores],
+            waits: vec![None; config.cores],
             sim_threads,
             stats: RunStats::default(),
             rng,
             trace: Trace::new(),
             sched_touched: Vec::new(),
+            parked: Vec::new(),
+            park_request: None,
+            wake: false,
             perf: PerfCounters::default(),
             metrics: None,
             poisoned_plans: FxHashSet::default(),
@@ -343,19 +363,28 @@ impl Machine {
         while let Some(c) = sched.peek() {
             #[cfg(debug_assertions)]
             self.debug_assert_heap_min(c);
-            if self.clocks[c] > self.config.max_cycles {
+            let t = self.clocks[c];
+            if t > self.config.max_cycles {
                 self.stats.timed_out = true;
                 break;
             }
             if batching && self.try_parallel_batch(&mut sched) {
                 // Batch members were re-keyed inside; local steps never
-                // touch `sched_touched` or finish a core.
+                // touch `sched_touched`, release a lock or finish a core.
+                debug_assert!(!self.wake && self.park_request.is_none());
                 continue;
             }
             self.step_core(c);
             self.perf.steps += 1;
             if self.phases[c] == Phase::Finished {
                 sched.remove(c);
+            } else if let Some(wait) = self.park_request.take() {
+                // A failed lock poll: the core leaves the heap until a
+                // release wakes it (the re-key still counts, as stepping
+                // the poll would have re-keyed it).
+                sched.remove(c);
+                self.perf.sched_updates += 1;
+                self.park(c, wait);
             } else if sched.update(c, self.clocks[c]) {
                 self.perf.sched_updates += 1;
             }
@@ -363,12 +392,22 @@ impl Machine {
             if !self.sched_touched.is_empty() {
                 for i in 0..self.sched_touched.len() {
                     let v = self.sched_touched[i];
+                    debug_assert!(self.waits[v].is_none(), "parked core {v} re-keyed");
                     if v != c && sched.update(v, self.clocks[v]) {
                         self.perf.sched_updates += 1;
                     }
                 }
                 self.sched_touched.clear();
             }
+            if self.wake {
+                self.wake_parked(&mut sched, t, c);
+            }
+        }
+        if !self.parked.is_empty() {
+            // Parked cores poll on until the safety stop: a run cannot
+            // finish with waiters left (nothing is left to release them).
+            self.stats.timed_out = true;
+            self.expire_parked();
         }
         self.perf.run_wall_ns += started.elapsed().as_nanos() as u64;
         self.finalize_stats();
@@ -376,18 +415,26 @@ impl Machine {
     }
 
     /// Debug-build cross-check: the heap's minimum must be exactly what
-    /// the replaced linear scan would have picked.
+    /// the replaced linear scan would have picked. Parked cores are out of
+    /// the heap by design (their polls are virtual until a wake). A plain
+    /// indexed loop: this runs every step of every debug-build test.
     #[cfg(debug_assertions)]
     fn debug_assert_heap_min(&self, picked: usize) {
-        let scan = self
-            .phases
-            .iter()
-            .zip(&self.clocks)
-            .enumerate()
-            .filter(|(_, (&p, _))| p != Phase::Finished)
-            .min_by_key(|(i, (_, &clock))| (clock, *i))
-            .map(|(i, _)| i);
-        debug_assert_eq!(scan, Some(picked), "heap disagrees with linear scan");
+        let mut scan: Option<(u64, usize)> = None;
+        for i in 0..self.clocks.len() {
+            if self.phases[i] == Phase::Finished || self.waits[i].is_some() {
+                continue;
+            }
+            let key = (self.clocks[i], i);
+            if scan.is_none_or(|best| key < best) {
+                scan = Some(key);
+            }
+        }
+        debug_assert_eq!(
+            scan.map(|(_, i)| i),
+            Some(picked),
+            "heap disagrees with linear scan"
+        );
     }
 
     fn finalize_stats(&mut self) {
@@ -565,5 +612,6 @@ mod conflicts;
 mod locking;
 mod memops;
 mod metrics;
+mod park;
 mod plans;
 mod sched;

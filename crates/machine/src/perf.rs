@@ -15,10 +15,14 @@
 /// Counters describing one [`Machine::run`](crate::Machine::run).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PerfCounters {
-    /// Scheduler steps executed (instructions, lock acquisitions, spins,
-    /// phase transitions — one per core advance).
+    /// Scheduler steps (instructions, lock acquisitions, spins, phase
+    /// transitions — one per core advance). Includes the failed lock polls
+    /// of parked cores, which are charged in closed form when a release
+    /// wakes them rather than stepped one by one: the count is what
+    /// per-poll stepping would execute, not the host's work.
     pub steps: u64,
-    /// Scheduler heap re-keys (one per step plus one per remote abort).
+    /// Scheduler heap re-keys (one per step, closed-form polls included,
+    /// plus one per remote abort).
     pub sched_updates: u64,
     /// Coherence requests served at any level (L1/L2/L3/memory).
     pub coherence_requests: u64,

@@ -2,6 +2,7 @@
 
 use crate::{CacheGeometry, LineAddr};
 use std::fmt;
+use std::num::NonZeroU32;
 
 /// Error returned by [`SetAssocCache::insert_respecting`] when every way of
 /// the target set holds a pinned (non-evictable) line.
@@ -50,14 +51,20 @@ pub struct SetAssocCache<T> {
     geometry: CacheGeometry,
     /// `sets × ways` entries; `None` = free way.
     ways: Vec<Option<Entry<T>>>,
-    /// Monotonic counter for LRU timestamps.
-    tick: u64,
+    /// Counter for LRU stamps; when it would wrap, every set's stamps are
+    /// renormalised (see [`SetAssocCache::next_tick`]).
+    tick: u32,
 }
 
+/// One way. With a payload of at most 4 bytes (the coherence layer's line
+/// metadata, the CRT's `()`) an `Option<Entry<T>>` is 16 bytes: a u32
+/// stamp rather than a u64 one keeps a 512-core machine's L1 tag stores
+/// 3 MB smaller, and a stamp that is never zero lets `Option` use it as
+/// its niche when the payload has none.
 #[derive(Clone, Debug)]
 struct Entry<T> {
     line: LineAddr,
-    last_use: u64,
+    last_use: NonZeroU32,
     payload: T,
 }
 
@@ -78,6 +85,25 @@ impl<T> SetAssocCache<T> {
         self.geometry
     }
 
+    /// The next LRU stamp. Stamps are only ever compared within one set,
+    /// so when the counter would wrap, each set's stamps are rewritten as
+    /// their ranks `1..=ways` — the same recency order, hence the same
+    /// eviction decisions — and the counter restarts above them.
+    fn next_tick(&mut self) -> NonZeroU32 {
+        if self.tick == u32::MAX {
+            for set in self.ways.chunks_mut(self.geometry.ways) {
+                let mut order: Vec<&mut Entry<T>> = set.iter_mut().flatten().collect();
+                order.sort_unstable_by_key(|e| e.last_use);
+                for (rank, e) in order.into_iter().enumerate() {
+                    e.last_use = NonZeroU32::MIN.saturating_add(rank as u32);
+                }
+            }
+            self.tick = self.geometry.ways as u32;
+        }
+        self.tick += 1;
+        NonZeroU32::new(self.tick).expect("incremented from a u32 below MAX")
+    }
+
     fn set_range(&self, line: LineAddr) -> std::ops::Range<usize> {
         let set = self.geometry.set_index(line);
         let start = set * self.geometry.ways;
@@ -87,8 +113,7 @@ impl<T> SetAssocCache<T> {
     /// Returns a reference to the payload of `line` if present, refreshing
     /// its LRU position.
     pub fn touch(&mut self, line: LineAddr) -> Option<&mut T> {
-        self.tick += 1;
-        let tick = self.tick;
+        let tick = self.next_tick();
         let range = self.set_range(line);
         self.ways[range]
             .iter_mut()
@@ -129,9 +154,9 @@ impl<T> SetAssocCache<T> {
     ///
     /// Panics if `way` is out of range or the way is free.
     pub fn touch_at(&mut self, way: usize) -> &mut T {
-        self.tick += 1;
+        let tick = self.next_tick();
         let e = self.ways[way].as_mut().expect("occupied way");
-        e.last_use = self.tick;
+        e.last_use = tick;
         &mut e.payload
     }
 
@@ -166,8 +191,7 @@ impl<T> SetAssocCache<T> {
     /// set is full. If the line is already present its payload is replaced
     /// and `Hit` is returned.
     pub fn insert(&mut self, line: LineAddr, payload: T) -> EvictionOutcome {
-        self.tick += 1;
-        let tick = self.tick;
+        let tick = self.next_tick();
         let range = self.set_range(line);
 
         // Already present?
@@ -194,7 +218,7 @@ impl<T> SetAssocCache<T> {
         // Evict LRU.
         let victim_idx = range
             .clone()
-            .min_by_key(|&i| self.ways[i].as_ref().map(|e| e.last_use).unwrap_or(0))
+            .min_by_key(|&i| self.ways[i].as_ref().map_or(0, |e| e.last_use.get()))
             .expect("non-empty set");
         let victim = self.ways[victim_idx]
             .replace(Entry {
@@ -226,8 +250,7 @@ impl<T> SetAssocCache<T> {
     where
         F: Fn(&T) -> bool,
     {
-        self.tick += 1;
-        let tick = self.tick;
+        let tick = self.next_tick();
         let range = self.set_range(line);
 
         if let Some(e) = self.ways[range.clone()]
@@ -257,7 +280,7 @@ impl<T> SetAssocCache<T> {
                     .map(|e| !pinned(&e.payload))
                     .unwrap_or(true)
             })
-            .min_by_key(|&i| self.ways[i].as_ref().map(|e| e.last_use).unwrap_or(0));
+            .min_by_key(|&i| self.ways[i].as_ref().map_or(0, |e| e.last_use.get()));
 
         match victim_idx {
             Some(i) => {
@@ -436,6 +459,58 @@ mod tests {
         let mut v: Vec<_> = c.iter().map(|(l, &p)| (l.0, p)).collect();
         v.sort();
         assert_eq!(v, vec![(0, 10), (1, 11)]);
+    }
+
+    #[test]
+    fn way_entries_are_16_bytes_with_a_small_payload() {
+        #[allow(dead_code)]
+        #[derive(Clone, Copy)]
+        enum State {
+            A,
+            B,
+        }
+        type Meta = (State, bool, bool, bool);
+        assert_eq!(std::mem::size_of::<Option<Entry<Meta>>>(), 16);
+        assert_eq!(std::mem::size_of::<Option<Entry<()>>>(), 16);
+    }
+
+    #[test]
+    fn stamp_wrap_keeps_every_eviction_decision() {
+        // The same access stream through a cache whose stamp counter
+        // wraps mid-stream and through a fresh one must evict the same
+        // lines in the same order.
+        use crate::rng::SplitMix64;
+        let g = CacheGeometry::new(4, 3);
+        let mut fresh: SetAssocCache<u32> = SetAssocCache::new(g);
+        let mut wrapping: SetAssocCache<u32> = SetAssocCache::new(g);
+        wrapping.tick = u32::MAX - 40;
+        let mut rng = SplitMix64::new(7);
+        for i in 0..400u32 {
+            let line = LineAddr(rng.below(24));
+            match rng.below(4) {
+                0 => assert_eq!(
+                    fresh.touch(line).copied(),
+                    wrapping.touch(line).copied(),
+                    "touch {i}"
+                ),
+                1 => assert_eq!(
+                    fresh.insert_respecting(line, i, |&p| p % 5 == 0),
+                    wrapping.insert_respecting(line, i, |&p| p % 5 == 0),
+                    "insert_respecting {i}"
+                ),
+                _ => assert_eq!(
+                    fresh.insert(line, i),
+                    wrapping.insert(line, i),
+                    "insert {i}"
+                ),
+            }
+        }
+        assert!(wrapping.tick < 1000, "the counter wrapped and restarted");
+        let mut a: Vec<_> = fresh.iter().map(|(l, &p)| (l, p)).collect();
+        let mut b: Vec<_> = wrapping.iter().map(|(l, &p)| (l, p)).collect();
+        a.sort();
+        b.sort();
+        assert_eq!(a, b);
     }
 
     #[test]
