@@ -26,15 +26,20 @@ pub struct ClearConfig {
     pub scl_lock_policy: SclLockPolicy,
 }
 
+impl ClearConfig {
+    /// The paper's sizes (the [`Default`]), usable in constants.
+    pub const DEFAULT: ClearConfig = ClearConfig {
+        ert_entries: 16,
+        alt_entries: 32,
+        crt_sets: 8,
+        crt_ways: 8,
+        scl_lock_policy: SclLockPolicy::WriteSetPlusCrt,
+    };
+}
+
 impl Default for ClearConfig {
     fn default() -> Self {
-        ClearConfig {
-            ert_entries: 16,
-            alt_entries: 32,
-            crt_sets: 8,
-            crt_ways: 8,
-            scl_lock_policy: SclLockPolicy::WriteSetPlusCrt,
-        }
+        ClearConfig::DEFAULT
     }
 }
 

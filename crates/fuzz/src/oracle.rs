@@ -16,7 +16,7 @@
 //!    soundness violation, full stop.
 //!
 //! [`check_case_matrix`] widens check 1 and 2 across every built-in
-//! [`BackendId`]: the same case runs under all five speculation backends
+//! [`Backend`]: the same case runs under all five speculation backends
 //! and each final memory image is cross-checked against the serial VM
 //! replay. The single-retry scan rides the backend's own
 //! `guarantees_commit` answer (only CLEAR promises the bound), and the
@@ -42,7 +42,7 @@ use crate::workload::{initial_image, FuzzWorkload, Layout};
 use clear_analysis::{static_plan, StaticBudget, StaticVerdict};
 use clear_core::{RetryMode, StaticPlanSet};
 use clear_htm::AbortKind;
-use clear_machine::{BackendId, Machine, Preset, TraceEvent};
+use clear_machine::{Backend, Machine, Preset, SpeculationBackend, TraceEvent};
 use clear_mem::{Addr, Memory, WORD_BYTES};
 use std::fmt;
 use std::sync::Arc;
@@ -589,18 +589,19 @@ pub struct BackendOutcome {
 }
 
 /// Phase label for the fast-path leg of one backend's matrix run.
-fn fastpath_phase(id: BackendId) -> &'static str {
+fn fastpath_phase(id: Backend) -> &'static str {
     match id {
-        BackendId::Tsx => "tsx+plan",
-        BackendId::PowerTm => "powertm+plan",
-        BackendId::Sle => "sle+plan",
-        BackendId::Clear => "clear+plan",
-        BackendId::Lrws => "lrws+plan",
+        Backend::Tsx => "tsx+plan",
+        Backend::PowerTm => "powertm+plan",
+        Backend::Sle => "sle+plan",
+        Backend::Lrws => "lrws+plan",
+        Backend::APriori => "apriori+plan",
+        Backend::Clear { .. } => "clear+plan",
     }
 }
 
 /// The backend-matrix oracle's account of one case: one
-/// [`BackendOutcome`] per built-in backend, in [`BackendId::ALL`] order.
+/// [`BackendOutcome`] per built-in backend, in [`Backend::ALL`] order.
 #[derive(Clone, Debug)]
 pub struct MatrixReport {
     /// Case index within the run.
@@ -630,7 +631,7 @@ impl MatrixReport {
 }
 
 /// Runs one fuzz case under every built-in speculation backend
-/// ([`BackendId::ALL`]) at the case's own thread count, cross-checking
+/// ([`Backend::ALL`]) at the case's own thread count, cross-checking
 /// each backend's final memory image against the serial VM replay.
 ///
 /// Per backend: the run must finish, trace nothing away, commit exactly
@@ -645,16 +646,16 @@ pub fn check_case_matrix(case: &Arc<FuzzCase>) -> MatrixReport {
         seed: case.seed,
         threads: case.threads,
         invocations: case.invocations,
-        outcomes: Vec::with_capacity(BackendId::ALL.len()),
+        outcomes: Vec::with_capacity(Backend::ALL.len()),
     };
-    for id in BackendId::ALL {
+    for id in Backend::ALL {
         report.outcomes.push(check_backend(case, id));
     }
     report
 }
 
 /// One backend's leg of the matrix: contended run + full check battery.
-fn check_backend(case: &Arc<FuzzCase>, id: BackendId) -> BackendOutcome {
+fn check_backend(case: &Arc<FuzzCase>, id: Backend) -> BackendOutcome {
     let name = id.name();
     let mut cfg = id.config(case.threads, MAX_RETRIES);
     cfg.seed = case.seed;
@@ -900,8 +901,8 @@ mod tests {
         for i in 0..4 {
             let case = Arc::new(FuzzCase::generate(0xFACE, i));
             let r = check_case_matrix(&case);
-            assert_eq!(r.outcomes.len(), BackendId::ALL.len());
-            for (o, id) in r.outcomes.iter().zip(BackendId::ALL) {
+            assert_eq!(r.outcomes.len(), Backend::ALL.len());
+            for (o, id) in r.outcomes.iter().zip(Backend::ALL) {
                 assert_eq!(o.backend, id.name());
                 assert_eq!(
                     o.commits,
@@ -909,7 +910,7 @@ mod tests {
                     "{} commit count",
                     o.backend
                 );
-                if id != BackendId::Lrws {
+                if id != Backend::Lrws {
                     assert_eq!(o.lrws_capacity_aborts, 0, "{}", o.backend);
                 }
             }

@@ -13,9 +13,9 @@
 use super::{opts_json, ExperimentOutput};
 use crate::json::Json;
 use crate::pool;
-use crate::suite::{benchmark_plans, run_once_backend_planned, SuiteOptions};
+use crate::suite::{benchmark_plans, run_once, SuiteOptions};
 use clear_core::StaticPlanSet;
-use clear_machine::{BackendId, RunStats};
+use clear_machine::{MachineConfig, RunStats, SpeculationBackend};
 use clear_workloads::Size;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -73,11 +73,7 @@ fn delta_pct(base: u64, fast: u64) -> f64 {
 /// discovery runs, and guard violations. Violations count as failures: a
 /// plan emitted by the real analyzer must never trip its own guard.
 pub(super) fn static_fastpath(opts: &SuiteOptions) -> ExperimentOutput {
-    let backends: Vec<BackendId> = opts
-        .backends
-        .iter()
-        .map(|n| BackendId::from_name(n).expect("SuiteOptions validated the backend names"))
-        .collect();
+    let backends = &opts.backends;
     let retries = opts.retry_sweep[0];
     let plan_seed = opts.seeds[0];
 
@@ -101,16 +97,13 @@ pub(super) fn static_fastpath(opts: &SuiteOptions) -> ExperimentOutput {
         .collect();
     let results = pool::run_indexed(grid.len(), opts.workers, |g| {
         let (b, k, seed, planned) = grid[g];
-        run_once_backend_planned(
-            opts.benchmarks[b],
-            backends[k],
-            opts.cores,
-            retries,
-            opts.size,
+        let cfg = MachineConfig {
             seed,
-            opts.sim_threads,
-            planned.then(|| Arc::clone(&plans[b])),
-        )
+            sim_threads: opts.sim_threads,
+            static_plans: planned.then(|| Arc::clone(&plans[b])),
+            ..backends[k].config(opts.cores, retries)
+        };
+        run_once(opts.benchmarks[b], opts.size, cfg)
     });
 
     let mut cells: BTreeMap<(usize, usize), (Leg, Leg)> = BTreeMap::new();
@@ -272,6 +265,7 @@ pub(super) fn static_fastpath(opts: &SuiteOptions) -> ExperimentOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clear_machine::Backend;
 
     fn tiny() -> SuiteOptions {
         SuiteOptions {
@@ -317,7 +311,7 @@ mod tests {
     #[test]
     fn fastpath_elides_discovery_under_clear() {
         let out = static_fastpath(&SuiteOptions {
-            backends: vec!["clear"],
+            backends: vec![Backend::CLEAR],
             ..tiny()
         });
         let Some(&Json::Int(elided)) = out.json.get("discovery_runs_elided") else {
@@ -332,7 +326,7 @@ mod tests {
     #[test]
     fn fastpath_is_deterministic_across_worker_counts() {
         let opts = SuiteOptions {
-            backends: vec!["clear"],
+            backends: vec![Backend::CLEAR],
             ..tiny()
         };
         let a = static_fastpath(&opts);

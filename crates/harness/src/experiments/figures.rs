@@ -1,6 +1,6 @@
 //! Figure experiments: Fig. 1 (motivation) and Figs. 8-13 (evaluation),
 //! plus the one-pass `report` that derives Figs. 8-13 from a single suite
-//! run. Text output is byte-identical to the legacy binaries.
+//! run.
 
 use super::{opts_json, ExperimentOutput};
 use crate::json::Json;
@@ -9,7 +9,7 @@ use crate::suite::{
     format_table, geomean, run_once, run_suite, trimmed_mean, CellResult, SuiteOptions,
 };
 use clear_htm::AbortKind;
-use clear_machine::{Preset, RunStats};
+use clear_machine::{MachineConfig, Preset, RunStats};
 use std::fmt::Write as _;
 
 /// Per-cell JSON: the raw per-seed cycle counts are included as integers
@@ -53,14 +53,11 @@ pub(super) fn fig01(opts: &SuiteOptions) -> ExperimentOutput {
     );
     let (nb, ns) = (opts.benchmarks.len(), opts.seeds.len());
     let all_runs = pool::run_indexed(nb * ns, opts.workers, |i| {
-        run_once(
-            opts.benchmarks[i / ns],
-            Preset::B,
-            opts.cores,
-            5,
-            opts.size,
-            opts.seeds[i % ns],
-        )
+        let cfg = MachineConfig {
+            seed: opts.seeds[i % ns],
+            ..Preset::B.config(opts.cores, 5)
+        };
+        run_once(opts.benchmarks[i / ns], opts.size, cfg)
     });
     let mut ratios = Vec::new();
     let mut rows = Vec::new();

@@ -21,7 +21,7 @@ use clear_fuzz::{
     check_case, check_case_at, check_case_matrix, shrink, shrink_with, CaseReport, FuzzCase,
     MatrixReport, Shrunk,
 };
-use clear_machine::{BackendId, Machine, Preset};
+use clear_machine::{Backend, Machine, Preset, SpeculationBackend};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -306,7 +306,7 @@ pub(super) fn litmus_opts() -> SuiteOptions {
         benchmarks: vec![],
         workers: pool::default_workers(),
         sim_threads: 1,
-        backends: BackendId::ALL.iter().map(|b| b.name()).collect(),
+        backends: Backend::ALL.to_vec(),
     }
 }
 
@@ -444,7 +444,7 @@ pub(super) fn litmus_backends_opts() -> SuiteOptions {
         benchmarks: vec![],
         workers: pool::default_workers(),
         sim_threads: 1,
-        backends: BackendId::ALL.iter().map(|b| b.name()).collect(),
+        backends: Backend::ALL.to_vec(),
     }
 }
 
@@ -456,16 +456,11 @@ pub(super) fn litmus_backends_opts() -> SuiteOptions {
 /// limited-R/W-set backend's capacity aborts.
 pub(super) fn litmus_backends(opts: &SuiteOptions) -> ExperimentOutput {
     let catalogue = cases();
-    let backends: Vec<BackendId> = opts
-        .backends
-        .iter()
-        .map(|n| BackendId::from_name(n).expect("SuiteOptions validated the backend names"))
-        .collect();
-    let grid: Vec<(usize, BackendId, u64)> = catalogue
+    let grid: Vec<(usize, Backend, u64)> = catalogue
         .iter()
         .enumerate()
         .flat_map(|(ci, _)| {
-            backends
+            opts.backends
                 .iter()
                 .flat_map(move |&b| opts.seeds.iter().map(move |&s| (ci, b, s)))
         })
@@ -561,7 +556,7 @@ pub(super) fn litmus_backends(opts: &SuiteOptions) -> ExperimentOutput {
         ("options", opts_json(opts)),
         (
             "backends",
-            Json::arr(backends.iter().map(|b| Json::from(b.name()))),
+            Json::arr(opts.backends.iter().map(|b| Json::from(b.name()))),
         ),
         (
             "cases",
@@ -667,7 +662,7 @@ pub fn matrix_output(seed_str: &str, count: u64, workers: usize) -> ExperimentOu
     }
     let diverged = failures.len();
     let cases = outcomes.len();
-    let n_backends = BackendId::ALL.len();
+    let n_backends = Backend::ALL.len();
 
     let mut text = String::new();
     let _ = writeln!(
@@ -680,9 +675,9 @@ pub fn matrix_output(seed_str: &str, count: u64, workers: usize) -> ExperimentOu
         "{:8} {:>9} {:>8} {:>9} {:>9} {:>8} {:>10}",
         "backend", "commits", "aborts", "capacity", "rw-ovfl", "elided", "diverged"
     );
-    // BackendId::ALL order, not BTreeMap order: the table reads in the
+    // Backend::ALL order, not BTreeMap order: the table reads in the
     // same sequence as every other backend sweep.
-    for id in BackendId::ALL {
+    for id in Backend::ALL {
         let (commits, aborts, capacity, lrws, elided, div) =
             per_backend.get(id.name()).copied().unwrap_or_default();
         let _ = writeln!(
@@ -709,7 +704,7 @@ pub fn matrix_output(seed_str: &str, count: u64, workers: usize) -> ExperimentOu
         }
     }
 
-    let backend_json = Json::arr(BackendId::ALL.iter().map(|id| {
+    let backend_json = Json::arr(Backend::ALL.iter().map(|id| {
         let (commits, aborts, capacity, lrws, elided, div) =
             per_backend.get(id.name()).copied().unwrap_or_default();
         Json::obj([
@@ -816,7 +811,7 @@ mod tests {
         let out = litmus_backends(&opts);
         assert_eq!(out.failures, 0, "{}", out.text);
         // Every backend shows up as a row label.
-        for id in BackendId::ALL {
+        for id in Backend::ALL {
             assert!(out.text.contains(id.name()), "missing {id}:\n{}", out.text);
         }
         assert!(out.text.contains("IRIW"));
@@ -827,7 +822,7 @@ mod tests {
         let opts = SuiteOptions {
             seeds: vec![1],
             workers: 2,
-            backends: vec!["tsx", "lrws"],
+            backends: vec![Backend::Tsx, Backend::Lrws],
             ..litmus_backends_opts()
         };
         let out = litmus_backends(&opts);

@@ -2,9 +2,8 @@
 //! or study.
 //!
 //! Every experiment is a pure function from [`SuiteOptions`] to an
-//! [`ExperimentOutput`]: the exact text the legacy `clear-bench` binary
-//! printed to stdout (those binaries are now thin wrappers over this
-//! registry) plus a machine-readable JSON document. Gated experiments
+//! [`ExperimentOutput`]: the text `clear-harness run <name>` prints plus a
+//! machine-readable JSON document. Gated experiments
 //! additionally declare a [`GoldenSpec`] pinning the options and
 //! tolerances used for regression checks against `goldens/`.
 
@@ -31,7 +30,7 @@ use clear_workloads::Size;
 /// Result of running one experiment.
 #[derive(Clone, Debug)]
 pub struct ExperimentOutput {
-    /// Exact stdout of the legacy binary.
+    /// The text `clear-harness run` prints.
     pub text: String,
     /// Machine-readable result document.
     pub json: Json,
@@ -406,18 +405,6 @@ pub fn find(name: &str) -> Option<&'static Experiment> {
     EXPERIMENTS.iter().find(|e| e.name == name)
 }
 
-/// Runs an experiment and streams its legacy text to stdout; the process
-/// exit code reflects `failures`. This is the whole body of every thin
-/// wrapper binary in `clear-bench`.
-pub fn run_to_stdout(name: &str, opts: &SuiteOptions) {
-    let exp = find(name).unwrap_or_else(|| panic!("unknown experiment {name}"));
-    let out = (exp.run)(opts);
-    print!("{}", out.text);
-    if out.failures > 0 {
-        std::process::exit(1);
-    }
-}
-
 /// `Size` as its CLI spelling.
 pub fn size_str(size: Size) -> &'static str {
     match size {
@@ -451,6 +438,7 @@ pub(crate) fn opts_json(opts: &SuiteOptions) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clear_machine::Backend;
 
     #[test]
     fn registry_names_are_unique_and_findable() {
@@ -547,7 +535,7 @@ mod tests {
             benchmarks: vec!["mwobject"],
             workers: 4,
             sim_threads: 1,
-            backends: vec!["tsx", "clear"],
+            backends: vec![Backend::Tsx, Backend::CLEAR],
         };
         for name in [
             "fig01",

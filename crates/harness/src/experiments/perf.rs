@@ -17,8 +17,8 @@ use super::{opts_json, ExperimentOutput};
 use crate::json::Json;
 use crate::metrics_export::snapshot_to_json;
 use crate::pool;
-use crate::suite::{run_once_threaded, SuiteOptions};
-use clear_machine::{Preset, RunStats};
+use crate::suite::{run_once, SuiteOptions};
+use clear_machine::{MachineConfig, Preset, RunStats};
 use clear_metrics::{families, MetricsRegistry};
 use std::fmt::Write as _;
 
@@ -63,15 +63,12 @@ pub(super) fn sim_throughput(opts: &SuiteOptions) -> ExperimentOutput {
     let presets = Preset::ALL;
     let np = presets.len();
     let stats = pool::run_indexed(opts.benchmarks.len() * np, opts.workers, |i| {
-        run_once_threaded(
-            opts.benchmarks[i / np],
-            presets[i % np],
-            opts.cores,
-            5,
-            opts.size,
-            opts.seeds[0],
-            opts.sim_threads,
-        )
+        let cfg = MachineConfig {
+            seed: opts.seeds[0],
+            sim_threads: opts.sim_threads,
+            ..presets[i % np].config(opts.cores, 5)
+        };
+        run_once(opts.benchmarks[i / np], opts.size, cfg)
     });
     let mut text = String::new();
     let _ = writeln!(text, "=== simulator kernel throughput ===");
@@ -175,15 +172,12 @@ pub(super) fn scaling_wide(opts: &SuiteOptions) -> ExperimentOutput {
     let stats: Vec<_> = ladder
         .iter()
         .map(|&cores| {
-            run_once_threaded(
-                bench,
-                Preset::C,
-                cores,
-                5,
-                opts.size,
-                opts.seeds[0],
-                opts.sim_threads,
-            )
+            let cfg = MachineConfig {
+                seed: opts.seeds[0],
+                sim_threads: opts.sim_threads,
+                ..Preset::C.config(cores, 5)
+            };
+            run_once(bench, opts.size, cfg)
         })
         .collect();
 

@@ -13,9 +13,9 @@
 use super::{opts_json, ExperimentOutput};
 use crate::json::Json;
 use crate::pool;
-use crate::suite::{run_once_backend, SuiteOptions};
+use crate::suite::{run_once, SuiteOptions};
 use clear_htm::AbortKind;
-use clear_machine::{BackendId, RunStats};
+use clear_machine::{MachineConfig, RunStats, SpeculationBackend};
 use clear_workloads::Size;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -97,11 +97,7 @@ fn kind_name(kind: AbortKind) -> &'static str {
 /// cycles normalized to the first backend in the sweep (geometric mean
 /// over benchmarks).
 pub(super) fn backend_shootout(opts: &SuiteOptions) -> ExperimentOutput {
-    let backends: Vec<BackendId> = opts
-        .backends
-        .iter()
-        .map(|n| BackendId::from_name(n).expect("SuiteOptions validated the backend names"))
-        .collect();
+    let backends = &opts.backends;
     let retries = opts.retry_sweep[0];
 
     // One coordinate per (benchmark, backend, seed); the pool preserves
@@ -114,15 +110,12 @@ pub(super) fn backend_shootout(opts: &SuiteOptions) -> ExperimentOutput {
         .collect();
     let results = pool::run_indexed(grid.len(), opts.workers, |g| {
         let (b, k, seed) = grid[g];
-        run_once_backend(
-            opts.benchmarks[b],
-            backends[k],
-            opts.cores,
-            retries,
-            opts.size,
+        let cfg = MachineConfig {
             seed,
-            opts.sim_threads,
-        )
+            sim_threads: opts.sim_threads,
+            ..backends[k].config(opts.cores, retries)
+        };
+        run_once(opts.benchmarks[b], opts.size, cfg)
     });
 
     let mut cells: BTreeMap<(usize, usize), Cell> = BTreeMap::new();
@@ -266,6 +259,7 @@ pub(super) fn backend_shootout(opts: &SuiteOptions) -> ExperimentOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clear_machine::Backend;
 
     fn tiny() -> SuiteOptions {
         SuiteOptions {
@@ -321,7 +315,7 @@ mod tests {
     #[test]
     fn backend_flag_restricts_the_shootout() {
         let out = backend_shootout(&SuiteOptions {
-            backends: vec!["clear", "lrws"],
+            backends: vec![Backend::CLEAR, Backend::Lrws],
             ..tiny()
         });
         let Some(Json::Arr(rows)) = out.json.get("rows") else {

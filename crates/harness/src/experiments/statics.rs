@@ -17,7 +17,7 @@ use clear_analysis::{
     StaticVerdict, WorkloadReport,
 };
 use clear_core::{ObservedClass, PlanAddr, PlanClass, StaticPlan, StaticPlanSet};
-use clear_machine::{backend_from_config, BackendId, Machine, Preset, TraceEvent};
+use clear_machine::{Backend, Machine, Preset, SpeculationBackend, TraceEvent};
 use clear_workloads::{by_name, Size, BENCHMARK_NAMES};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -309,16 +309,15 @@ fn plan_class_str(c: PlanClass) -> &'static str {
 /// Per-backend budget fit of one plan: every built-in backend's
 /// `rw_limits` answer against the plan's static line bounds.
 fn plan_budget(plan: &StaticPlan) -> Vec<(&'static str, bool, bool)> {
-    BackendId::ALL
+    Backend::ALL
         .iter()
-        .map(|&id| {
-            let backend = backend_from_config(&id.config(1, 5));
-            let limits = backend.rw_limits();
+        .map(|b| {
+            let limits = b.rw_limits();
             let fits = plan.fits_rw(
                 limits.as_ref().map(|l| l.read_lines),
                 limits.as_ref().map(|l| l.write_lines),
             );
-            (id.name(), limits.is_some(), fits)
+            (b.name(), limits.is_some(), fits)
         })
         .collect()
 }
@@ -607,7 +606,7 @@ mod tests {
         assert!(out.text.contains("static plans"), "{}", out.text);
         assert!(out.text.contains("lock set:"), "{}", out.text);
         assert!(out.text.contains("budget:"), "{}", out.text);
-        for id in BackendId::ALL {
+        for id in Backend::ALL {
             assert!(out.text.contains(id.name()), "missing {id}:\n{}", out.text);
         }
         let Some(Json::Arr(workloads)) = out.json.get("workloads") else {
@@ -621,7 +620,7 @@ mod tests {
             let Some(Json::Arr(budget)) = p.get("budget") else {
                 panic!("budget missing");
             };
-            assert_eq!(budget.len(), BackendId::ALL.len());
+            assert_eq!(budget.len(), Backend::ALL.len());
             let Some(Json::Arr(lock_set)) = p.get("lock_set") else {
                 panic!("lock_set missing");
             };

@@ -7,23 +7,21 @@ use crate::json::Json;
 use crate::pool;
 use crate::suite::{run_once, trimmed_mean, SuiteOptions};
 use clear_core::{ClearConfig, SclLockPolicy};
-use clear_machine::{Machine, MachineConfig, Preset, RunStats, SpeculationKind};
+use clear_htm::HtmFlavor;
+use clear_machine::{Backend, Machine, MachineConfig, Preset, RunStats, SpeculationKind};
 use clear_workloads::{by_name, Size};
 use std::fmt::Write as _;
 
-fn run_clear_variant(
-    name: &str,
-    opts: &SuiteOptions,
-    tweak: impl Fn(&mut ClearConfig),
-) -> RunStats {
-    let w = by_name(name, opts.size, opts.seeds[0]).expect("known benchmark");
-    let mut cfg = Preset::C.config(opts.cores, 5);
-    cfg.seed = opts.seeds[0];
-    tweak(cfg.clear.as_mut().expect("preset C has CLEAR"));
-    let mut m = Machine::new(cfg, w);
-    let s = m.run();
-    m.workload().validate(m.memory()).expect("invariant");
-    s
+/// CLEAR over requester-wins HTM with `tweak` applied to the paper's
+/// structure sizes.
+fn clear_variant(tweak: impl Fn(&mut ClearConfig)) -> Backend {
+    let mut clear = ClearConfig::default();
+    tweak(&mut clear);
+    Backend::Clear {
+        clear,
+        flavor: HtmFlavor::RequesterWins,
+        speculation: SpeculationKind::Htm,
+    }
 }
 
 const ABLATION_APPS: [&str; 6] = [
@@ -45,21 +43,24 @@ const ABLATION_VARIANTS: [&str; 7] = [
 ];
 
 fn ablation_variant(name: &str, variant: usize, opts: &SuiteOptions) -> RunStats {
-    match variant {
-        0 => run_once(name, Preset::B, opts.cores, 5, opts.size, opts.seeds[0]),
-        1 => run_clear_variant(name, opts, |_| {}),
-        2 => run_clear_variant(name, opts, |cc| {
+    let backend = match variant {
+        0 => Backend::Tsx,
+        1 => Backend::CLEAR,
+        2 => clear_variant(|cc| {
             cc.crt_sets = 1;
             cc.crt_ways = 1;
         }),
-        3 => run_clear_variant(name, opts, |cc| {
-            cc.scl_lock_policy = SclLockPolicy::AllAccessed;
-        }),
-        4 => run_clear_variant(name, opts, |cc| cc.alt_entries = 8),
-        5 => run_clear_variant(name, opts, |cc| cc.alt_entries = 64),
-        6 => run_clear_variant(name, opts, |cc| cc.ert_entries = 4),
+        3 => clear_variant(|cc| cc.scl_lock_policy = SclLockPolicy::AllAccessed),
+        4 => clear_variant(|cc| cc.alt_entries = 8),
+        5 => clear_variant(|cc| cc.alt_entries = 64),
+        6 => clear_variant(|cc| cc.ert_entries = 4),
         _ => unreachable!("seven ablation variants"),
-    }
+    };
+    let cfg = MachineConfig {
+        seed: opts.seeds[0],
+        ..backend.config(opts.cores, 5)
+    };
+    run_once(name, opts.size, cfg)
 }
 
 pub(super) fn ablation(opts: &SuiteOptions) -> ExperimentOutput {
@@ -133,14 +134,11 @@ pub(super) fn ablation(opts: &SuiteOptions) -> ExperimentOutput {
 
 pub(super) fn ar_breakdown(opts: &SuiteOptions) -> ExperimentOutput {
     let stats = pool::run_indexed(opts.benchmarks.len(), opts.workers, |i| {
-        let name = opts.benchmarks[i];
-        let w = by_name(name, opts.size, opts.seeds[0]).expect("known benchmark");
-        let mut cfg = Preset::C.config(opts.cores, 5);
-        cfg.seed = opts.seeds[0];
-        let mut m = Machine::new(cfg, w);
-        let stats = m.run();
-        m.workload().validate(m.memory()).expect("invariant");
-        stats
+        let cfg = MachineConfig {
+            seed: opts.seeds[0],
+            ..Preset::C.config(opts.cores, 5)
+        };
+        run_once(opts.benchmarks[i], opts.size, cfg)
     });
     let mut text = String::new();
     let mut rows = Vec::new();
@@ -214,15 +212,11 @@ pub(super) fn dse_retries(opts: &SuiteOptions) -> ExperimentOutput {
         let r = (i / ns) % nr;
         let p = (i / (ns * nr)) % np;
         let b = i / (ns * nr * np);
-        run_once(
-            opts.benchmarks[b],
-            presets[p],
-            opts.cores,
-            opts.retry_sweep[r],
-            opts.size,
-            opts.seeds[s],
-        )
-        .total_cycles as f64
+        let cfg = MachineConfig {
+            seed: opts.seeds[s],
+            ..presets[p].config(opts.cores, opts.retry_sweep[r])
+        };
+        run_once(opts.benchmarks[b], opts.size, cfg).total_cycles as f64
     });
     let mut text = String::new();
     let _ = writeln!(
@@ -268,16 +262,6 @@ pub(super) fn dse_retries(opts: &SuiteOptions) -> ExperimentOutput {
     ExperimentOutput::new(text, json)
 }
 
-fn run_with_config(name: &str, cfg: MachineConfig, seed: u64, size: Size) -> RunStats {
-    let w = by_name(name, size, seed).expect("known benchmark");
-    let mut cfg = cfg;
-    cfg.seed = seed;
-    let mut m = Machine::new(cfg, w);
-    let s = m.run();
-    m.workload().validate(m.memory()).expect("invariant");
-    s
-}
-
 pub(super) fn mad_vs_clear(opts: &SuiteOptions) -> ExperimentOutput {
     // Benchmarks with at least one statically-lockable AR.
     let eligible = [
@@ -299,17 +283,12 @@ pub(super) fn mad_vs_clear(opts: &SuiteOptions) -> ExperimentOutput {
         let v = i % nv;
         let c = (i / nv) % nc;
         let name = apps[i / (nv * nc)];
-        let cores = cores_axis[c];
-        let cfg = match v {
-            0 => Preset::B.config(cores, 5),
-            1 => {
-                let mut cfg = Preset::B.config(cores, 5);
-                cfg.a_priori_locking = true;
-                cfg
-            }
-            _ => Preset::C.config(cores, 5),
+        let backend = [Backend::Tsx, Backend::APriori, Backend::CLEAR][v];
+        let cfg = MachineConfig {
+            seed: opts.seeds[0],
+            ..backend.config(cores_axis[c], 5)
         };
-        run_with_config(name, cfg, opts.seeds[0], opts.size)
+        run_once(name, opts.size, cfg)
     });
     let mut text = String::new();
     let _ = writeln!(
@@ -378,15 +357,11 @@ pub(super) fn scaling(opts: &SuiteOptions) -> ExperimentOutput {
         let p = i % np;
         let c = (i / np) % nc;
         let b = i / (np * nc);
-        run_once(
-            opts.benchmarks[b],
-            presets[p],
-            cores_axis[c],
-            5,
-            opts.size,
-            opts.seeds[0],
-        )
-        .total_cycles
+        let cfg = MachineConfig {
+            seed: opts.seeds[0],
+            ..presets[p].config(cores_axis[c], 5)
+        };
+        run_once(opts.benchmarks[b], opts.size, cfg).total_cycles
     });
     let mut text = String::new();
     let mut rows = Vec::new();
@@ -428,15 +403,16 @@ pub(super) fn scaling(opts: &SuiteOptions) -> ExperimentOutput {
 pub(super) fn sle_vs_htm(opts: &SuiteOptions) -> ExperimentOutput {
     let kinds = [SpeculationKind::Htm, SpeculationKind::InCore];
     let stats = pool::run_indexed(opts.benchmarks.len() * 2, opts.workers, |i| {
-        let name = opts.benchmarks[i / 2];
-        let w = by_name(name, opts.size, opts.seeds[0]).expect("known benchmark");
-        let mut cfg = Preset::C.config(opts.cores, 5);
-        cfg.seed = opts.seeds[0];
-        cfg.speculation = kinds[i % 2];
-        let mut m = Machine::new(cfg, w);
-        let s = m.run();
-        m.workload().validate(m.memory()).expect("invariant");
-        s
+        let backend = Backend::Clear {
+            clear: ClearConfig::default(),
+            flavor: HtmFlavor::RequesterWins,
+            speculation: kinds[i % 2],
+        };
+        let cfg = MachineConfig {
+            seed: opts.seeds[0],
+            ..backend.config(opts.cores, 5)
+        };
+        run_once(opts.benchmarks[i / 2], opts.size, cfg)
     });
     let mut text = String::new();
     let _ = writeln!(

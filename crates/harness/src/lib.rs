@@ -4,8 +4,7 @@
 //! paper's figures are reproduced and regression-checked":
 //!
 //! - [`experiments`]: a registry of named experiments, one per reproduced
-//!   figure/table/study. The legacy `clear-bench` binaries are thin
-//!   wrappers over [`experiments::run_to_stdout`].
+//!   figure/table/study.
 //! - [`suite`]: the (benchmark × preset × retry × seed) grid engine with
 //!   the paper's best-of retry sweep and trimmed-mean aggregation.
 //! - [`pool`]: a scoped worker pool that spreads the grid over threads
@@ -45,6 +44,6 @@ pub mod suite;
 pub mod trace_export;
 
 pub use suite::{
-    bar, format_table, geomean, print_table, run_cell, run_once, run_once_threaded, run_suite,
-    split_threads, trimmed_mean, CellResult, SuiteOptions,
+    bar, format_table, geomean, run_cell, run_once, run_suite, split_threads, trimmed_mean,
+    CellResult, SuiteOptions,
 };

@@ -11,7 +11,7 @@
 use crate::pool;
 use clear_analysis::{workload_plans, StaticBudget};
 use clear_core::StaticPlanSet;
-use clear_machine::{BackendId, Machine, MachineConfig, Preset, RunStats};
+use clear_machine::{Backend, Machine, MachineConfig, Preset, RunStats};
 use clear_workloads::{by_name, Size, BENCHMARK_NAMES};
 use std::sync::Arc;
 
@@ -36,11 +36,10 @@ pub struct SuiteOptions {
     /// byte-identical for every value; only the `par_batch_*` perf
     /// counters reveal whether batching was on.
     pub sim_threads: usize,
-    /// Speculation backends for backend-sweep experiments (stable
-    /// [`BackendId`] names). Defaults to all five; `--backend NAME`
-    /// restricts the sweep, repeatable. Preset-grid experiments ignore
-    /// this field.
-    pub backends: Vec<&'static str>,
+    /// Speculation backends for backend-sweep experiments. Defaults to
+    /// [`Backend::ALL`]; `--backend NAME` restricts the sweep, repeatable.
+    /// Preset-grid experiments ignore this field.
+    pub backends: Vec<Backend>,
 }
 
 impl Default for SuiteOptions {
@@ -53,7 +52,7 @@ impl Default for SuiteOptions {
             benchmarks: BENCHMARK_NAMES.to_vec(),
             workers: pool::default_workers(),
             sim_threads: default_sim_threads(),
-            backends: BackendId::ALL.iter().map(|b| b.name()).collect(),
+            backends: Backend::ALL.to_vec(),
         }
     }
 }
@@ -99,21 +98,6 @@ fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
 }
 
 impl SuiteOptions {
-    /// Parses `std::env::args()` with [`SuiteOptions::parse_or_exit`].
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::parse_or_exit(&args)
-    }
-
-    /// Parses `args`; on a malformed option, prints the error and the
-    /// options usage line and exits with status 2.
-    pub fn parse_or_exit(args: &[String]) -> Self {
-        Self::from_arg_slice(args).unwrap_or_else(|e| {
-            eprintln!("{e}\n{OPTIONS_USAGE}");
-            std::process::exit(2);
-        })
-    }
-
     /// Parses an explicit argument list (the CLI passes the tail of its
     /// own argument vector here). `--help` prints the options usage line
     /// and exits 0.
@@ -126,7 +110,7 @@ impl SuiteOptions {
     pub fn from_arg_slice(args: &[String]) -> Result<Self, String> {
         let mut o = SuiteOptions::default();
         let mut picked: Vec<&'static str> = Vec::new();
-        let mut picked_backends: Vec<&'static str> = Vec::new();
+        let mut picked_backends: Vec<Backend> = Vec::new();
         let mut args = args.iter();
         while let Some(a) = args.next() {
             let mut val = || {
@@ -174,9 +158,9 @@ impl SuiteOptions {
                 }
                 "--backend" => {
                     let name = val()?;
-                    let known = BackendId::from_name(&name)
+                    let known = Backend::from_name(&name)
                         .ok_or_else(|| format!("unknown backend {name}"))?;
-                    picked_backends.push(known.name());
+                    picked_backends.push(known);
                 }
                 "--workers" => o.workers = number::<usize>(a, &val()?)?.max(1),
                 "--threads" => {
@@ -202,75 +186,18 @@ impl SuiteOptions {
     }
 }
 
-/// Runs one benchmark once under a fully specified configuration.
+/// Runs benchmark `name` at `size` once under `cfg`, whose `seed` also
+/// seeds the workload instance.
 ///
 /// # Panics
 ///
 /// Panics if the benchmark name is unknown, the run times out, or the
 /// workload's atomicity invariant fails — a harness must never report
 /// numbers from a broken run.
-pub fn run_once(
-    name: &str,
-    preset: Preset,
-    cores: usize,
-    max_retries: u32,
-    size: Size,
-    seed: u64,
-) -> RunStats {
-    run_once_threaded(name, preset, cores, max_retries, size, seed, 1)
-}
-
-/// [`run_once`] with an explicit intra-run thread count. Stats are
-/// byte-identical for every `sim_threads` value except the `par_batch_*`
-/// perf counters, which record whether batching was active.
-///
-/// # Panics
-///
-/// As [`run_once`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_once_threaded(
-    name: &str,
-    preset: Preset,
-    cores: usize,
-    max_retries: u32,
-    size: Size,
-    seed: u64,
-    sim_threads: usize,
-) -> RunStats {
-    let workload = by_name(name, size, seed).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    let mut cfg: MachineConfig = preset.config(cores, max_retries);
-    cfg.seed = seed;
-    cfg.sim_threads = sim_threads;
-    let mut machine = Machine::new(cfg, workload);
-    let stats = machine.run();
-    assert!(!stats.timed_out, "{name}/{preset}: run timed out");
-    machine
-        .workload()
-        .validate(machine.memory())
-        .unwrap_or_else(|e| panic!("{name}/{preset}: invariant violated: {e}"));
-    stats
-}
-
-/// Runs one benchmark once under an explicit speculation backend's
-/// Table 2 configuration (see [`BackendId::config`]).
-///
-/// # Panics
-///
-/// As [`run_once`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_once_backend(
-    name: &str,
-    backend: BackendId,
-    cores: usize,
-    max_retries: u32,
-    size: Size,
-    seed: u64,
-    sim_threads: usize,
-) -> RunStats {
-    let workload = by_name(name, size, seed).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    let mut cfg: MachineConfig = backend.config(cores, max_retries);
-    cfg.seed = seed;
-    cfg.sim_threads = sim_threads;
+pub fn run_once(name: &str, size: Size, cfg: MachineConfig) -> RunStats {
+    let backend = cfg.backend;
+    let workload =
+        by_name(name, size, cfg.seed).unwrap_or_else(|| panic!("unknown benchmark {name}"));
     let mut machine = Machine::new(cfg, workload);
     let stats = machine.run();
     assert!(!stats.timed_out, "{name}/{backend}: run timed out");
@@ -294,39 +221,6 @@ pub fn benchmark_plans(name: &str, size: Size, seed: u64, threads: usize) -> Arc
     let plans = workload_plans(&mut *w, threads, &StaticBudget::default())
         .unwrap_or_else(|e| panic!("{name}: static planning failed: {e}"));
     Arc::new(plans)
-}
-
-/// [`run_once_backend`] with analyzer-emitted static plans installed, so
-/// CLEAR-capable backends take the discovery-skipping fast path. Passing
-/// `None` is exactly [`run_once_backend`].
-///
-/// # Panics
-///
-/// As [`run_once`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_once_backend_planned(
-    name: &str,
-    backend: BackendId,
-    cores: usize,
-    max_retries: u32,
-    size: Size,
-    seed: u64,
-    sim_threads: usize,
-    plans: Option<Arc<StaticPlanSet>>,
-) -> RunStats {
-    let workload = by_name(name, size, seed).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    let mut cfg: MachineConfig = backend.config(cores, max_retries);
-    cfg.seed = seed;
-    cfg.sim_threads = sim_threads;
-    cfg.static_plans = plans;
-    let mut machine = Machine::new(cfg, workload);
-    let stats = machine.run();
-    assert!(!stats.timed_out, "{name}/{backend}: run timed out");
-    machine
-        .workload()
-        .validate(machine.memory())
-        .unwrap_or_else(|e| panic!("{name}/{backend}: invariant violated: {e}"));
-    stats
 }
 
 /// Aggregated result of one benchmark × preset cell.
@@ -409,16 +303,13 @@ pub fn run_cell(name: &str, preset: Preset, opts: &SuiteOptions) -> CellResult {
         .map(|&retries| {
             opts.seeds
                 .iter()
-                .map(|&s| {
-                    run_once_threaded(
-                        name,
-                        preset,
-                        opts.cores,
-                        retries,
-                        opts.size,
-                        s,
-                        opts.sim_threads,
-                    )
+                .map(|&seed| {
+                    let cfg = MachineConfig {
+                        seed,
+                        sim_threads: opts.sim_threads,
+                        ..preset.config(opts.cores, retries)
+                    };
+                    run_once(name, opts.size, cfg)
                 })
                 .collect()
         })
@@ -446,15 +337,12 @@ pub fn run_suite(opts: &SuiteOptions) -> Vec<[CellResult; 4]> {
         let r = (i / ns) % nr;
         let p = (i / (ns * nr)) % np;
         let b = i / (ns * nr * np);
-        run_once_threaded(
-            opts.benchmarks[b],
-            presets[p],
-            opts.cores,
-            opts.retry_sweep[r],
-            opts.size,
-            opts.seeds[s],
-            opts.sim_threads,
-        )
+        let cfg = MachineConfig {
+            seed: opts.seeds[s],
+            sim_threads: opts.sim_threads,
+            ..presets[p].config(opts.cores, opts.retry_sweep[r])
+        };
+        run_once(opts.benchmarks[b], opts.size, cfg)
     });
     let mut iter = stats.into_iter();
     opts.benchmarks
@@ -540,16 +428,6 @@ pub fn format_table(
         let _ = writeln!(out, "  {letter} {:<40} {v:.3}", bar(v, max, 36));
     }
     out
-}
-
-/// Prints [`format_table`] to stdout (legacy entry point).
-pub fn print_table(
-    title: &str,
-    header: &str,
-    rows: &[(String, [f64; 4])],
-    aggregate: (&str, [f64; 4]),
-) {
-    print!("{}", format_table(title, header, rows, aggregate));
 }
 
 #[cfg(test)]
@@ -646,29 +524,29 @@ mod tests {
 
     #[test]
     fn run_once_produces_valid_stats() {
-        let s = run_once("arrayswap", Preset::B, 4, 5, Size::Tiny, 1);
+        let s = run_once("arrayswap", Size::Tiny, Preset::B.config(4, 5));
         assert!(s.commits() > 0);
     }
 
     #[test]
     fn backend_flag_restricts_the_sweep() {
         let o = SuiteOptions::default();
-        assert_eq!(o.backends, vec!["tsx", "powertm", "sle", "clear", "lrws"]);
+        assert_eq!(o.backends, Backend::ALL.to_vec());
         let args: Vec<String> = ["--backend", "lrws", "--backend", "clear"]
             .iter()
             .map(|s| s.to_string())
             .collect();
         let o = SuiteOptions::from_arg_slice(&args).unwrap();
-        assert_eq!(o.backends, vec!["lrws", "clear"]);
+        assert_eq!(o.backends, vec![Backend::Lrws, Backend::CLEAR]);
     }
 
     #[test]
-    fn run_once_backend_covers_every_backend() {
-        for id in BackendId::ALL {
-            let s = run_once_backend("arrayswap", id, 4, 5, Size::Tiny, 1, 1);
-            assert!(s.commits() > 0, "{id} produced no commits");
-            if id != BackendId::Lrws {
-                assert_eq!(s.lrws_capacity_aborts(), 0, "{id}");
+    fn run_once_covers_every_backend() {
+        for b in Backend::ALL {
+            let s = run_once("arrayswap", Size::Tiny, b.config(4, 5));
+            assert!(s.commits() > 0, "{b} produced no commits");
+            if b != Backend::Lrws {
+                assert_eq!(s.lrws_capacity_aborts(), 0, "{b}");
             }
         }
     }
@@ -699,7 +577,7 @@ mod tests {
             benchmarks: vec!["arrayswap", "mwobject"],
             workers: 4,
             sim_threads: 1,
-            backends: vec!["clear"],
+            backends: vec![Backend::CLEAR],
         };
         let suite = run_suite(&opts);
         for (name, cells) in opts.benchmarks.iter().zip(&suite) {

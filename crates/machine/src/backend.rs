@@ -1,22 +1,20 @@
-//! Pluggable speculation backends: the attempt/conflict/fallback policy
-//! surface of the machine as a trait.
+//! Speculation backends: the attempt/conflict/fallback policy surface of
+//! the machine as a trait, and [`Backend`], the built-in design points.
 //!
 //! The machine's mechanism — coherence, scheduling, batching, workloads,
 //! statistics — is shared by every HTM design point; what differs between
-//! CLEAR, requester-wins TSX, PowerTM, SLE and the FORTH limited
-//! read/write-set scheme is *policy*: how conflicts are arbitrated, when
-//! an AR gives up and takes the fallback path, whether cacheline-locked
-//! re-execution (CLEAR) is available, how far speculation may extend, and
-//! which structural bounds raise capacity aborts. [`SpeculationBackend`]
-//! captures exactly that surface, so a new backend is one `impl` instead
-//! of a fork of the attempt/conflict/locking paths.
+//! CLEAR, requester-wins TSX, PowerTM, SLE, a-priori locking and the FORTH
+//! limited read/write-set scheme is *policy*: how conflicts are
+//! arbitrated, when an AR gives up and takes the fallback path, whether
+//! cacheline-locked re-execution (CLEAR) is available, how far speculation
+//! may extend, and which structural bounds raise capacity aborts.
+//! [`SpeculationBackend`] captures exactly that surface.
 //!
-//! [`Machine::new`](crate::Machine::new) derives the backend from the
-//! configuration axes ([`backend_from_config`]), which keeps every
-//! existing preset byte-identical;
+//! [`MachineConfig::backend`] selects one [`Backend`], which
+//! [`Machine::new`](crate::Machine::new) runs;
 //! [`Machine::with_backend`](crate::Machine::with_backend) accepts any
-//! custom implementation. [`BackendId`] enumerates the five built-in
-//! backends for harnesses that sweep the design space.
+//! other implementation of the trait, such as a test's fault-injecting
+//! one.
 
 use crate::{MachineConfig, SpeculationKind};
 use clear_core::{ClearConfig, RetryMode};
@@ -78,242 +76,139 @@ pub trait SpeculationBackend: std::fmt::Debug + Send + Sync {
     fn rw_limits(&self) -> Option<LrwsConfig> {
         None
     }
-}
 
-/// Intel-TSX-like requester-wins best-effort HTM (preset **B**).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TsxBackend;
-
-impl SpeculationBackend for TsxBackend {
-    fn name(&self) -> &'static str {
-        "tsx"
-    }
-
-    fn resolve(&self, requester: TxInfo, victims: &[TxInfo]) -> Resolution {
-        resolve_conflict(HtmFlavor::RequesterWins, requester, victims)
+    /// `true` when ARs whose invocation declares a `static_footprint` lock
+    /// it up front and run NS-CL from their first attempt (the a-priori
+    /// locking comparator of §2.2).
+    fn locks_declared_footprints(&self) -> bool {
+        false
     }
 }
 
-/// PowerTM: requester-wins plus a single global power token whose holder
-/// wins every conflict (preset **P**).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PowerTmBackend;
-
-impl SpeculationBackend for PowerTmBackend {
-    fn name(&self) -> &'static str {
-        "powertm"
-    }
-
-    fn resolve(&self, requester: TxInfo, victims: &[TxInfo]) -> Resolution {
-        resolve_conflict(HtmFlavor::PowerTm, requester, victims)
-    }
-
-    fn acquires_power_token(&self) -> bool {
-        true
-    }
-}
-
-/// SLE-style in-core speculation: the reorder buffer delimits every
-/// speculative window (§4.1), conflicts resolve requester-wins.
-#[derive(Clone, Copy, Debug)]
-pub struct SleBackend {
-    /// Conflict arbitration underneath the in-core window (requester-wins
-    /// unless a PowerTM substrate is being modelled).
-    pub flavor: HtmFlavor,
-}
-
-impl Default for SleBackend {
-    fn default() -> Self {
-        SleBackend {
-            flavor: HtmFlavor::RequesterWins,
-        }
-    }
-}
-
-impl SpeculationBackend for SleBackend {
-    fn name(&self) -> &'static str {
-        "sle"
-    }
-
-    fn speculation(&self) -> SpeculationKind {
-        SpeculationKind::InCore
-    }
-
-    fn resolve(&self, requester: TxInfo, victims: &[TxInfo]) -> Resolution {
-        resolve_conflict(self.flavor, requester, victims)
-    }
-
-    fn acquires_power_token(&self) -> bool {
-        self.flavor == HtmFlavor::PowerTm
-    }
-}
-
-/// CLEAR over a best-effort substrate: single-retry bounding via
-/// discovery and cacheline-locked re-execution (presets **C**/**W**, and
-/// the CLEAR-SLE extension when `speculation` is in-core).
-#[derive(Clone, Copy, Debug)]
-pub struct ClearBackend {
-    /// CLEAR structure sizes and policies.
-    pub clear: ClearConfig,
-    /// The substrate HTM flavour (requester-wins for C, PowerTM for W).
-    pub flavor: HtmFlavor,
-    /// The substrate speculation kind (HTM-backed or in-core).
-    pub speculation: SpeculationKind,
-}
-
-impl Default for ClearBackend {
-    fn default() -> Self {
-        ClearBackend {
-            clear: ClearConfig::default(),
-            flavor: HtmFlavor::RequesterWins,
-            speculation: SpeculationKind::Htm,
-        }
-    }
-}
-
-impl SpeculationBackend for ClearBackend {
-    fn name(&self) -> &'static str {
-        "clear"
-    }
-
-    fn clear(&self) -> Option<&ClearConfig> {
-        Some(&self.clear)
-    }
-
-    fn speculation(&self) -> SpeculationKind {
-        self.speculation
-    }
-
-    fn resolve(&self, requester: TxInfo, victims: &[TxInfo]) -> Resolution {
-        resolve_conflict(self.flavor, requester, victims)
-    }
-
-    fn acquires_power_token(&self) -> bool {
-        self.flavor == HtmFlavor::PowerTm
-    }
-}
-
-/// The FORTH limited read/write-set HTM: speculative footprints live in
-/// two small dedicated per-core buffers; overflowing either raises a
-/// capacity abort. No ISA or coherence-protocol changes — conflicts still
-/// resolve requester-wins over the unmodified protocol, and the bounded
-/// retry policy plus the non-speculative fallback guarantee progress.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LrwsBackend {
-    /// The buffer bounds, in cachelines.
-    pub limits: LrwsConfig,
-}
-
-impl SpeculationBackend for LrwsBackend {
-    fn name(&self) -> &'static str {
-        "lrws"
-    }
-
-    fn resolve(&self, requester: TxInfo, victims: &[TxInfo]) -> Resolution {
-        resolve_conflict(HtmFlavor::RequesterWins, requester, victims)
-    }
-
-    fn rw_limits(&self) -> Option<LrwsConfig> {
-        Some(self.limits)
-    }
-}
-
-/// Derives the backend a configuration describes. Precedence mirrors the
-/// config axes' specificity: `lrws` bounds select the limited
-/// read/write-set backend, a `clear` config selects CLEAR (over its
-/// flavour/speculation substrate), in-core speculation selects SLE, and
-/// the flavour picks between plain TSX and PowerTM.
-///
-/// # Panics
-///
-/// Panics when both `lrws` and `clear` are set: the limited-R/W-set
-/// scheme replaces cache-based footprint tracking, so CLEAR's discovery
-/// path (which relies on it) cannot be layered on top.
-pub fn backend_from_config(cfg: &MachineConfig) -> Box<dyn SpeculationBackend> {
-    if let Some(limits) = cfg.lrws {
-        assert!(
-            cfg.clear.is_none(),
-            "lrws and clear are mutually exclusive backends"
-        );
-        return Box::new(LrwsBackend { limits });
-    }
-    if let Some(clear) = cfg.clear {
-        return Box::new(ClearBackend {
-            clear,
-            flavor: cfg.flavor,
-            speculation: cfg.speculation,
-        });
-    }
-    match (cfg.speculation, cfg.flavor) {
-        (SpeculationKind::InCore, flavor) => Box::new(SleBackend { flavor }),
-        (SpeculationKind::Htm, HtmFlavor::PowerTm) => Box::new(PowerTmBackend),
-        (SpeculationKind::Htm, HtmFlavor::RequesterWins) => Box::new(TsxBackend),
-    }
-}
-
-/// The five built-in backends, for harnesses sweeping the design space.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum BackendId {
-    /// Requester-wins TSX baseline.
+/// The built-in speculation policies, one per evaluated design point.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Backend {
+    /// Intel-TSX-like requester-wins best-effort HTM (preset **B**).
     Tsx,
-    /// PowerTM.
+    /// PowerTM: requester-wins plus a single global power token whose
+    /// holder wins every conflict (preset **P**).
     PowerTm,
-    /// In-core (SLE) speculation.
+    /// SLE-style in-core speculation: the reorder buffer delimits every
+    /// speculative window (§4.1); conflicts resolve requester-wins.
     Sle,
-    /// CLEAR over requester-wins.
-    Clear,
-    /// Limited read/write-set HTM.
+    /// The FORTH limited read/write-set HTM: speculative footprints live in
+    /// two small dedicated per-core buffers (the [`LrwsConfig`] default
+    /// bounds); overflowing either raises a capacity abort. Conflicts
+    /// resolve requester-wins over the unmodified protocol.
     Lrws,
+    /// A-priori cacheline locking (the MCAS \[33\] / MAD-atomics \[16\]
+    /// comparator of §2.2) over requester-wins TSX: ARs whose invocation
+    /// carries a `static_footprint` lock it up front and execute
+    /// non-speculatively from the *first* attempt — no discovery, but also
+    /// no speculation in low-contention phases, and exclusivity is
+    /// requested even for read-only lines. ARs without a static footprint
+    /// run the baseline.
+    APriori,
+    /// CLEAR over a best-effort substrate: single-retry bounding via
+    /// discovery and cacheline-locked re-execution (presets **C**/**W**,
+    /// and CLEAR-SLE when `speculation` is in-core).
+    Clear {
+        /// CLEAR structure sizes and policies.
+        clear: ClearConfig,
+        /// The substrate HTM flavour (requester-wins for C, PowerTM for W).
+        flavor: HtmFlavor,
+        /// The substrate speculation kind (HTM-backed or in-core).
+        speculation: SpeculationKind,
+    },
 }
 
-impl BackendId {
-    /// All built-in backends in shootout column order.
-    pub const ALL: [BackendId; 5] = [
-        BackendId::Tsx,
-        BackendId::PowerTm,
-        BackendId::Sle,
-        BackendId::Clear,
-        BackendId::Lrws,
+impl Backend {
+    /// CLEAR with the paper's structure sizes over requester-wins HTM
+    /// (preset **C**).
+    pub const CLEAR: Backend = Backend::Clear {
+        clear: ClearConfig::DEFAULT,
+        flavor: HtmFlavor::RequesterWins,
+        speculation: SpeculationKind::Htm,
+    };
+
+    /// The backends swept by backend-axis experiments, in shootout column
+    /// order.
+    pub const ALL: [Backend; 5] = [
+        Backend::Tsx,
+        Backend::PowerTm,
+        Backend::Sle,
+        Backend::CLEAR,
+        Backend::Lrws,
     ];
 
-    /// The backend's stable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendId::Tsx => "tsx",
-            BackendId::PowerTm => "powertm",
-            BackendId::Sle => "sle",
-            BackendId::Clear => "clear",
-            BackendId::Lrws => "lrws",
-        }
-    }
-
-    /// Resolves a name back to a backend.
+    /// Resolves a name of one of [`Backend::ALL`] back to its backend.
     pub fn from_name(name: &str) -> Option<Self> {
-        BackendId::ALL.into_iter().find(|b| b.name() == name)
+        Backend::ALL.into_iter().find(|b| b.name() == name)
     }
 
     /// Builds the Table 2 machine configuration running this backend.
     pub fn config(self, cores: usize, max_retries: u32) -> MachineConfig {
-        use crate::Preset;
+        MachineConfig {
+            backend: self,
+            retry: RetryPolicy::new(max_retries),
+            ..MachineConfig::table2(cores)
+        }
+    }
+
+    fn flavor(&self) -> HtmFlavor {
         match self {
-            BackendId::Tsx => Preset::B.config(cores, max_retries),
-            BackendId::PowerTm => Preset::P.config(cores, max_retries),
-            BackendId::Clear => Preset::C.config(cores, max_retries),
-            BackendId::Sle => {
-                let mut c = Preset::B.config(cores, max_retries);
-                c.speculation = SpeculationKind::InCore;
-                c
-            }
-            BackendId::Lrws => {
-                let mut c = Preset::B.config(cores, max_retries);
-                c.lrws = Some(LrwsConfig::default());
-                c
-            }
+            Backend::PowerTm => HtmFlavor::PowerTm,
+            Backend::Clear { flavor, .. } => *flavor,
+            _ => HtmFlavor::RequesterWins,
         }
     }
 }
 
-impl std::fmt::Display for BackendId {
+impl SpeculationBackend for Backend {
+    fn name(&self) -> &'static str {
+        match self {
+            Backend::Tsx => "tsx",
+            Backend::PowerTm => "powertm",
+            Backend::Sle => "sle",
+            Backend::Lrws => "lrws",
+            Backend::APriori => "apriori",
+            Backend::Clear { .. } => "clear",
+        }
+    }
+
+    fn clear(&self) -> Option<&ClearConfig> {
+        match self {
+            Backend::Clear { clear, .. } => Some(clear),
+            _ => None,
+        }
+    }
+
+    fn speculation(&self) -> SpeculationKind {
+        match self {
+            Backend::Sle => SpeculationKind::InCore,
+            Backend::Clear { speculation, .. } => *speculation,
+            _ => SpeculationKind::Htm,
+        }
+    }
+
+    fn resolve(&self, requester: TxInfo, victims: &[TxInfo]) -> Resolution {
+        resolve_conflict(self.flavor(), requester, victims)
+    }
+
+    fn acquires_power_token(&self) -> bool {
+        self.flavor() == HtmFlavor::PowerTm
+    }
+
+    fn rw_limits(&self) -> Option<LrwsConfig> {
+        matches!(self, Backend::Lrws).then(LrwsConfig::default)
+    }
+
+    fn locks_declared_footprints(&self) -> bool {
+        matches!(self, Backend::APriori)
+    }
+}
+
+impl std::fmt::Display for Backend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
@@ -326,68 +221,59 @@ mod tests {
 
     #[test]
     fn presets_map_to_the_expected_backends() {
-        let b = backend_from_config(&Preset::B.config(4, 5));
+        let b = Preset::B.backend();
         assert_eq!(b.name(), "tsx");
         assert!(!b.acquires_power_token());
-        let p = backend_from_config(&Preset::P.config(4, 5));
+        let p = Preset::P.backend();
         assert_eq!(p.name(), "powertm");
         assert!(p.acquires_power_token());
-        let c = backend_from_config(&Preset::C.config(4, 5));
+        let c = Preset::C.backend();
         assert_eq!(c.name(), "clear");
         assert!(c.clear().is_some());
-        let w = backend_from_config(&Preset::W.config(4, 5));
+        let w = Preset::W.backend();
         assert_eq!(w.name(), "clear");
         assert!(w.acquires_power_token());
     }
 
     #[test]
-    fn sle_and_lrws_axes_select_their_backends() {
-        let mut cfg = Preset::B.config(4, 5);
-        cfg.speculation = SpeculationKind::InCore;
-        let sle = backend_from_config(&cfg);
-        assert_eq!(sle.name(), "sle");
-        assert_eq!(sle.speculation(), SpeculationKind::InCore);
-
-        let cfg = BackendId::Lrws.config(4, 5);
-        let lrws = backend_from_config(&cfg);
-        assert_eq!(lrws.name(), "lrws");
-        assert_eq!(lrws.rw_limits(), Some(LrwsConfig::default()));
-        assert!(lrws.clear().is_none());
+    fn sle_lrws_and_apriori_answer_their_axes() {
+        assert_eq!(Backend::Sle.speculation(), SpeculationKind::InCore);
+        assert!(!Backend::Sle.acquires_power_token());
+        assert_eq!(Backend::Lrws.rw_limits(), Some(LrwsConfig::default()));
+        assert!(Backend::Lrws.clear().is_none());
+        assert!(Backend::APriori.locks_declared_footprints());
+        for b in Backend::ALL {
+            assert!(!b.locks_declared_footprints(), "{b}");
+        }
     }
 
     #[test]
     fn clear_sle_combination_keeps_both_axes() {
-        let mut cfg = Preset::C.config(4, 5);
-        cfg.speculation = SpeculationKind::InCore;
-        let b = backend_from_config(&cfg);
+        let b = Backend::Clear {
+            clear: ClearConfig::default(),
+            flavor: HtmFlavor::RequesterWins,
+            speculation: SpeculationKind::InCore,
+        };
         assert_eq!(b.name(), "clear");
         assert_eq!(b.speculation(), SpeculationKind::InCore);
     }
 
     #[test]
-    #[should_panic(expected = "mutually exclusive")]
-    fn lrws_plus_clear_is_rejected() {
-        let mut cfg = Preset::C.config(4, 5);
-        cfg.lrws = Some(LrwsConfig::default());
-        backend_from_config(&cfg);
-    }
-
-    #[test]
     fn only_clear_guarantees_nscl_commits() {
-        let clear = ClearBackend::default();
+        let clear = Backend::CLEAR;
         assert!(clear.guarantees_commit(RetryMode::NsCl));
         assert!(!clear.guarantees_commit(RetryMode::SCl));
         assert!(!clear.guarantees_commit(RetryMode::Fallback));
         for b in [
-            Box::new(TsxBackend) as Box<dyn SpeculationBackend>,
-            Box::new(PowerTmBackend),
-            Box::new(SleBackend::default()),
-            Box::new(LrwsBackend::default()),
+            Backend::Tsx,
+            Backend::PowerTm,
+            Backend::Sle,
+            Backend::Lrws,
+            Backend::APriori,
         ] {
             assert!(
                 !b.guarantees_commit(RetryMode::NsCl),
-                "{} claims a bound it cannot enforce",
-                b.name()
+                "{b} claims a bound it cannot enforce"
             );
         }
     }
@@ -404,33 +290,35 @@ mod tests {
         power_victim.power = true;
         // Requester-wins backends ignore the power bit.
         for b in [
-            Box::new(TsxBackend) as Box<dyn SpeculationBackend>,
-            Box::new(SleBackend::default()),
-            Box::new(LrwsBackend::default()),
-            Box::new(ClearBackend::default()),
+            Backend::Tsx,
+            Backend::Sle,
+            Backend::Lrws,
+            Backend::APriori,
+            Backend::CLEAR,
         ] {
             assert_eq!(
                 b.resolve(plain(0), &[power_victim]),
                 Resolution::AbortVictims,
-                "{}",
-                b.name()
+                "{b}"
             );
         }
         assert_eq!(
-            PowerTmBackend.resolve(plain(0), &[power_victim]),
+            Backend::PowerTm.resolve(plain(0), &[power_victim]),
             Resolution::NackRequester
         );
     }
 
     #[test]
-    fn backend_ids_round_trip_names_and_configs() {
-        for id in BackendId::ALL {
-            assert_eq!(BackendId::from_name(id.name()), Some(id));
-            let cfg = id.config(8, 3);
+    fn backends_round_trip_names_and_configs() {
+        for b in Backend::ALL {
+            assert_eq!(Backend::from_name(b.name()), Some(b));
+            assert_eq!(b.to_string(), b.name());
+            let cfg = b.config(8, 3);
             assert_eq!(cfg.cores, 8);
             assert_eq!(cfg.retry.max_retries, 3);
-            assert_eq!(backend_from_config(&cfg).name(), id.name());
+            assert_eq!(cfg.backend, b);
         }
-        assert_eq!(BackendId::from_name("no-such"), None);
+        assert_eq!(Backend::from_name("apriori"), None);
+        assert_eq!(Backend::from_name("no-such"), None);
     }
 }

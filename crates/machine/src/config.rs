@@ -2,10 +2,10 @@
 
 use clear_coherence::CoherenceConfig;
 use clear_core::{ClearConfig, StaticPlanSet};
-use clear_htm::{HtmFlavor, LrwsConfig, RetryPolicy};
+use clear_htm::{HtmFlavor, RetryPolicy};
 use std::sync::Arc;
 
-use crate::EnergyConfig;
+use crate::{Backend, EnergyConfig};
 
 /// How far speculation can extend (§4.1 vs §4.2 of the paper).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -58,33 +58,17 @@ pub struct MachineConfig {
     pub cores: usize,
     /// Coherence substrate configuration.
     pub coherence: CoherenceConfig,
-    /// CLEAR configuration; `None` runs the baseline HTM only.
-    pub clear: Option<ClearConfig>,
-    /// Baseline HTM flavour (requester-wins or PowerTM).
-    pub flavor: HtmFlavor,
+    /// The speculation policy (requester-wins TSX by default).
+    pub backend: Backend,
     /// Bounded-retry policy before the fallback path.
     pub retry: RetryPolicy,
-    /// Speculation substrate: HTM-backed (default) or in-core only (SLE).
-    pub speculation: SpeculationKind,
-    /// Limited read/write-set bounds (the FORTH scheme); `Some` selects the
-    /// `lrws` backend, which tracks speculative footprints in two small
-    /// dedicated buffers and raises capacity aborts on overflow. Mutually
-    /// exclusive with `clear`.
-    pub lrws: Option<LrwsConfig>,
-    /// A-priori cacheline locking (the MCAS \[33\] / MAD-atomics \[16\]
-    /// comparator of §2.2): ARs whose invocation carries a
-    /// `static_footprint` lock it up front and execute non-speculatively
-    /// from the *first* attempt — no discovery, but also no speculation in
-    /// low-contention phases, and exclusivity is requested even for
-    /// read-only lines. ARs without a static footprint run the baseline.
-    pub a_priori_locking: bool,
     /// Analyzer-emitted static plans (`clear_analysis::workload_plans`):
     /// proved-immutable ARs skip the discovery run on their first abort
     /// (or eagerly once contention was observed) and enter NS-CL with the
     /// plan's lock set; likely-immutable ARs take a shortened discovery
     /// that only confirms root-slot stability. `None` (the default, and
-    /// every preset) runs pure dynamic discovery. Requires `clear`;
-    /// ignored otherwise.
+    /// every preset) runs pure dynamic discovery. Requires a
+    /// [`Backend::Clear`]; ignored otherwise.
     pub static_plans: Option<Arc<StaticPlanSet>>,
     /// Reorder-buffer size in instructions (Table 2: 352). Bounds every
     /// speculative attempt under [`SpeculationKind::InCore`].
@@ -119,12 +103,8 @@ impl MachineConfig {
         MachineConfig {
             cores,
             coherence: CoherenceConfig::table2(cores),
-            clear: None,
-            flavor: HtmFlavor::RequesterWins,
+            backend: Backend::Tsx,
             retry: RetryPolicy::default(),
-            speculation: SpeculationKind::Htm,
-            lrws: None,
-            a_priori_locking: false,
             static_plans: None,
             rob_size: 352,
             sq_size: 72,
@@ -177,16 +157,23 @@ impl Preset {
         matches!(self, Preset::C | Preset::W)
     }
 
+    /// The speculation backend this preset runs.
+    pub fn backend(self) -> Backend {
+        match self {
+            Preset::B => Backend::Tsx,
+            Preset::P => Backend::PowerTm,
+            Preset::C => Backend::CLEAR,
+            Preset::W => Backend::Clear {
+                clear: ClearConfig::DEFAULT,
+                flavor: HtmFlavor::PowerTm,
+                speculation: SpeculationKind::Htm,
+            },
+        }
+    }
+
     /// Builds a machine configuration for this preset.
     pub fn config(self, cores: usize, max_retries: u32) -> MachineConfig {
-        let mut c = MachineConfig::table2(cores);
-        c.retry = RetryPolicy::new(max_retries);
-        c.flavor = match self {
-            Preset::B | Preset::C => HtmFlavor::RequesterWins,
-            Preset::P | Preset::W => HtmFlavor::PowerTm,
-        };
-        c.clear = self.clear_enabled().then(ClearConfig::default);
-        c
+        self.backend().config(cores, max_retries)
     }
 }
 
@@ -202,21 +189,29 @@ mod tests {
 
     #[test]
     fn presets_map_to_flavor_and_clear() {
-        let b = Preset::B.config(4, 5);
-        assert_eq!(b.flavor, HtmFlavor::RequesterWins);
-        assert!(b.clear.is_none());
-
-        let p = Preset::P.config(4, 5);
-        assert_eq!(p.flavor, HtmFlavor::PowerTm);
-        assert!(p.clear.is_none());
-
-        let c = Preset::C.config(4, 5);
-        assert_eq!(c.flavor, HtmFlavor::RequesterWins);
-        assert!(c.clear.is_some());
-
-        let w = Preset::W.config(4, 5);
-        assert_eq!(w.flavor, HtmFlavor::PowerTm);
-        assert!(w.clear.is_some());
+        let flavor_and_clear = |p: Preset| match p.config(4, 5).backend {
+            Backend::Tsx => (HtmFlavor::RequesterWins, false),
+            Backend::PowerTm => (HtmFlavor::PowerTm, false),
+            Backend::Clear {
+                clear,
+                flavor,
+                speculation: SpeculationKind::Htm,
+            } if clear == ClearConfig::default() => (flavor, true),
+            other => panic!("{p} runs {other:?}"),
+        };
+        assert_eq!(
+            flavor_and_clear(Preset::B),
+            (HtmFlavor::RequesterWins, false)
+        );
+        assert_eq!(flavor_and_clear(Preset::P), (HtmFlavor::PowerTm, false));
+        assert_eq!(
+            flavor_and_clear(Preset::C),
+            (HtmFlavor::RequesterWins, true)
+        );
+        assert_eq!(flavor_and_clear(Preset::W), (HtmFlavor::PowerTm, true));
+        for p in Preset::ALL {
+            assert_eq!(p.clear_enabled(), flavor_and_clear(p).1, "{p}");
+        }
     }
 
     #[test]
@@ -231,7 +226,7 @@ mod tests {
         assert_eq!(m.cores, 32);
         assert_eq!(m.sq_size, 72);
         assert_eq!(m.rob_size, 352);
-        assert_eq!(m.speculation, SpeculationKind::Htm);
+        assert_eq!(m.backend, Backend::Tsx);
         assert_eq!(m.retry.max_retries, 5);
     }
 }

@@ -40,10 +40,7 @@ pub mod perf;
 mod stats;
 mod trace;
 
-pub use backend::{
-    backend_from_config, BackendId, ClearBackend, LrwsBackend, PowerTmBackend, SleBackend,
-    SpeculationBackend, TsxBackend,
-};
+pub use backend::{Backend, SpeculationBackend};
 pub use config::{MachineConfig, Preset, SpeculationKind, TimingConfig};
 pub use energy::{compute_energy, EnergyBreakdown, EnergyConfig};
 pub use machine::Machine;

@@ -27,8 +27,7 @@
 
 use crate::perf::PerfCounters;
 use crate::{
-    backend_from_config, compute_energy, MachineConfig, RunStats, SpeculationBackend,
-    SpeculationKind, Trace, TraceEvent,
+    compute_energy, MachineConfig, RunStats, SpeculationBackend, SpeculationKind, Trace, TraceEvent,
 };
 use clear_coherence::{Access, CoherenceSystem, CoreId, LockFail, RemoteImpact, TxTrack};
 use clear_core::{decide, Alt, Crt, Discovery, Ert, RetryMode};
@@ -243,18 +242,16 @@ impl std::fmt::Debug for Machine {
 
 impl Machine {
     /// Builds a machine, lays out the workload in simulated memory and
-    /// allocates the fallback lock line. The speculation backend is derived
-    /// from the configuration axes (see [`backend_from_config`]).
+    /// allocates the fallback lock line. The machine runs the
+    /// configuration's [`MachineConfig::backend`].
     pub fn new(config: MachineConfig, workload: Box<dyn Workload>) -> Self {
-        let backend = backend_from_config(&config);
+        let backend = Box::new(config.backend);
         Machine::with_backend(config, workload, backend)
     }
 
-    /// Builds a machine running an explicit [`SpeculationBackend`], which
-    /// overrides whatever the configuration axes would have selected. The
-    /// configuration's `clear`/`flavor`/`speculation`/`lrws` fields are
-    /// ignored in favour of the backend's answers; everything else (cores,
-    /// coherence, retry policy, timing, …) applies unchanged.
+    /// Builds a machine running an explicit [`SpeculationBackend`] in
+    /// place of the configuration's `backend` field; everything else
+    /// (cores, coherence, retry policy, timing, …) applies unchanged.
     pub fn with_backend(
         config: MachineConfig,
         mut workload: Box<dyn Workload>,
@@ -505,7 +502,7 @@ impl Machine {
                 // A-priori locking (§2.2 comparator): eligible ARs start in
                 // NS-CL with their statically-known footprint, bypassing
                 // speculation entirely.
-                let apriori_alt = if self.config.a_priori_locking {
+                let apriori_alt = if self.backend.locks_declared_footprints() {
                     inv.static_footprint.as_ref().and_then(|lines| {
                         if !self.coherence.fits_locked(lines) {
                             return None;

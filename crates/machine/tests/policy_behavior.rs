@@ -5,7 +5,7 @@
 use clear_isa::{
     ArId, ArInvocation, ArSpec, Mutability, Program, ProgramBuilder, Reg, Workload, WorkloadMeta,
 };
-use clear_machine::{Machine, Preset, TraceEvent};
+use clear_machine::{Backend, Machine, Preset, TraceEvent};
 use clear_mem::{Addr, Memory};
 use std::sync::Arc;
 
@@ -314,9 +314,8 @@ fn a_priori_locking_runs_eligible_ars_in_nscl_from_the_start() {
         remaining: vec![],
         program: inc_program(),
     };
-    let mut cfg = Preset::B.config(4, 5);
+    let mut cfg = Backend::APriori.config(4, 5);
     cfg.seed = 13;
-    cfg.a_priori_locking = true;
     let mut m = Machine::new(cfg, Box::new(w));
     let s = m.run();
     m.workload().validate(m.memory()).unwrap();
@@ -335,9 +334,8 @@ fn a_priori_locking_runs_eligible_ars_in_nscl_from_the_start() {
 
 #[test]
 fn a_priori_locking_ignores_footprint_free_ars() {
-    let mut cfg = Preset::B.config(4, 5);
+    let mut cfg = Backend::APriori.config(4, 5);
     cfg.seed = 13;
-    cfg.a_priori_locking = true;
     let mut m = Machine::new(cfg, Box::new(SharedCounter::new(25)));
     let s = m.run();
     m.workload().validate(m.memory()).unwrap();

@@ -459,7 +459,7 @@ mod machine_props {
     /// report zero R/W-set buffer overflows.
     #[test]
     fn random_plans_conserve_counters_under_every_backend() {
-        use clear_machine::BackendId;
+        use clear_machine::Backend;
 
         for case in 0..8 {
             let mut rng = case_rng(0xbacc, case);
@@ -472,7 +472,7 @@ mod machine_props {
                 .collect();
             let seed = rng.below(1000);
 
-            for id in BackendId::ALL {
+            for id in Backend::ALL {
                 let w = MixedCounters {
                     shared: Addr::NULL,
                     private: vec![],
@@ -486,7 +486,7 @@ mod machine_props {
                 let mut m = Machine::new(cfg, Box::new(w));
                 let stats = m.run();
                 assert!(!stats.timed_out, "case {case} {id}");
-                if id != BackendId::Lrws {
+                if id != Backend::Lrws {
                     assert_eq!(stats.lrws_capacity_aborts(), 0, "case {case} {id}");
                 }
                 m.workload()
@@ -541,7 +541,7 @@ mod machine_props {
                 program: inc_program(),
                 shared_ops: 0,
             };
-            // The config's own backend axes are ignored in favour of the
+            // The config's own `backend` field is ignored in favour of the
             // explicit backend argument.
             let mut cfg = Preset::B.config(threads, 3);
             cfg.seed = seed;
