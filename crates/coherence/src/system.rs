@@ -9,15 +9,15 @@
 //! Per-core state (the private cache, L2 shadow and the tx/lock tracking
 //! lists) is grouped into [`PerCore`], so one core's state and one shard
 //! can be borrowed mutably and independently — the basis of the machine's
-//! deterministic intra-run parallelism (see
-//! [`CoherenceSystem::split_local_views`]).
+//! deterministic intra-run batch stepping (see
+//! [`CoherenceSystem::local_view`]).
 //!
 //! Sharer sets are [`CoreBitSet`]s: allocation-free at ≤64 cores, growable
 //! beyond, iterating in the same ascending-core-id order the previous
 //! fixed-width `u64` masks produced.
 
 use crate::{Access, CoherenceConfig, CoreId, LockFail, MesiState, ServedBy, TxTrack};
-use clear_mem::{disjoint_muts, CacheGeometry, CoreBitSet, LineAddr, LineBitSet, SetAssocCache};
+use clear_mem::{CacheGeometry, CoreBitSet, LineAddr, LineBitSet, SetAssocCache};
 
 /// Lines per directory shard (one `u64` of LLC presence per shard).
 const SHARD_LINES_LOG2: u64 = 6;
@@ -474,6 +474,22 @@ impl CoherenceSystem {
         }
     }
 
+    /// `true` when an access by `core` would be an L1 hit on a line no
+    /// other core holds locked: exactly [`probe`](Self::probe)'s verdict
+    /// `locked_by_other.is_none() && served_by == L1 &&
+    /// remote_impacts.is_empty()` (a hit never has remote impacts), in O(1)
+    /// and without collecting impacts.
+    pub fn is_unlocked_l1_hit(&self, core: CoreId, line: LineAddr, access: Access) -> bool {
+        let hit = self.per_core[core.0]
+            .cache
+            .get(line)
+            .is_some_and(|m| access == Access::Read || m.mesi.is_exclusive());
+        hit && self
+            .dir_ref(line)
+            .and_then(|e| e.locked_by)
+            .is_none_or(|c| c == core)
+    }
+
     fn record_serve(&mut self, served_by: ServedBy) {
         match served_by {
             ServedBy::L1 => self.stats.l1_hits += 1,
@@ -900,51 +916,22 @@ impl CoherenceSystem {
         SetAssocCache::<LineMeta>::fits_simultaneously(self.config.l1, lines.iter().copied())
     }
 
-    /// Splits out exclusive views for a batch of cores stepping in
-    /// parallel: each member gets its own per-core state plus (when it will
-    /// perform an L1-hit access) its claimed directory shard.
-    ///
-    /// `members` pairs each core id with its claimed shard, in strictly
-    /// ascending core-id order; claimed shard ids must be pairwise
-    /// distinct. The returned views are `Send`, so the machine can hand
-    /// them to scoped worker threads; L1 hits performed through a view are
-    /// buffered locally and merged back with
-    /// [`CoherenceSystem::merge_local_hits`] at the batch barrier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if core ids are not strictly ascending, a core id is out of
-    /// range, or two members claim the same shard.
-    pub fn split_local_views(&mut self, members: &[(usize, Option<usize>)]) -> Vec<LocalView<'_>> {
-        let mut claims: Vec<usize> = members.iter().filter_map(|&(_, s)| s).collect();
-        claims.sort_unstable();
-        for &s in &claims {
+    /// One core's exclusive [`LocalView`] for a batch step: its per-core
+    /// state plus, when the step is an L1-hit access, its claimed directory
+    /// shard. L1 hits performed through the view are buffered and merged
+    /// back with [`CoherenceSystem::merge_local_hits`] at the batch
+    /// barrier.
+    pub fn local_view(&mut self, core: usize, claim: Option<usize>) -> LocalView<'_> {
+        if let Some(s) = claim {
             self.ensure_shard(s);
         }
-        let lat_l1 = self.config.lat_l1;
-        let core_ids: Vec<usize> = members.iter().map(|&(c, _)| c).collect();
-        let pcs = disjoint_muts(&mut self.per_core, &core_ids);
-        // `disjoint_muts` rejects duplicates, enforcing distinct claims.
-        let shard_refs = disjoint_muts(&mut self.shards, &claims);
-        let mut shard_slots: Vec<Option<&mut DirShard>> =
-            shard_refs.into_iter().map(Some).collect();
-        members
-            .iter()
-            .zip(pcs)
-            .map(|(&(core, claim), pc)| {
-                let shard = claim.map(|s| {
-                    let pos = claims.binary_search(&s).expect("claim present");
-                    shard_slots[pos].take().expect("claims are distinct")
-                });
-                LocalView {
-                    core: CoreId(core),
-                    pc,
-                    shard,
-                    lat_l1,
-                    l1_hits: 0,
-                }
-            })
-            .collect()
+        LocalView {
+            core: CoreId(core),
+            pc: &mut self.per_core[core],
+            shard: claim.map(|s| &mut self.shards[s]),
+            lat_l1: self.config.lat_l1,
+            l1_hits: 0,
+        }
     }
 
     /// Merges L1 hits performed through [`LocalView`]s back into the
@@ -957,7 +944,7 @@ impl CoherenceSystem {
 /// Exclusive view of one core's coherence state (plus its claimed
 /// directory shard) during a parallel step batch.
 ///
-/// Created by [`CoherenceSystem::split_local_views`]; only supports the
+/// Created by [`CoherenceSystem::local_view`]; only supports the
 /// *local* operations the batch classifier admits — an L1-hit load or
 /// store touching the claimed shard.
 #[derive(Debug)]
@@ -1379,7 +1366,7 @@ mod tests {
     #[test]
     fn local_view_hit_matches_sequential_apply() {
         // Two identically warmed systems: one applies a read hit and a
-        // write hit sequentially, the other through split LocalViews.
+        // write hit sequentially, the other through LocalViews.
         let build = || {
             let mut s = sys(4);
             s.apply(CoreId(0), LineAddr(3), Access::Read, TxTrack::Read)
@@ -1399,17 +1386,15 @@ mod tests {
         assert_eq!(b.served_by, ServedBy::L1);
 
         let mut par = build();
-        let members = [
-            (0usize, Some(CoherenceSystem::shard_of(LineAddr(3)))),
-            (1usize, Some(CoherenceSystem::shard_of(LineAddr(70)))),
-        ];
-        let mut views = par.split_local_views(&members);
-        let lat0 = views[0].apply_hit(LineAddr(3), Access::Read, TxTrack::Read);
-        let lat1 = views[1].apply_hit(LineAddr(70), Access::Write, TxTrack::Write);
-        assert_eq!(lat0, a.latency);
-        assert_eq!(lat1, b.latency);
-        let hits: u64 = views.iter().map(|v| v.l1_hits()).sum();
-        drop(views);
+        let mut hits = 0;
+        for (core, line, access, tx, want) in [
+            (0, LineAddr(3), Access::Read, TxTrack::Read, a.latency),
+            (1, LineAddr(70), Access::Write, TxTrack::Write, b.latency),
+        ] {
+            let mut view = par.local_view(core, Some(CoherenceSystem::shard_of(line)));
+            assert_eq!(view.apply_hit(line, access, tx), want);
+            hits += view.l1_hits();
+        }
         par.merge_local_hits(hits);
 
         assert_eq!(seq.stats(), par.stats());
@@ -1426,14 +1411,5 @@ mod tests {
             assert_eq!(se.sharers, pe.sharers);
             assert_eq!(se.locked_by, pe.locked_by);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn split_rejects_duplicate_shard_claims() {
-        let mut s = sys(2);
-        s.apply(CoreId(0), LineAddr(1), Access::Read, TxTrack::None)
-            .unwrap();
-        let _ = s.split_local_views(&[(0, Some(0)), (1, Some(0))]);
     }
 }

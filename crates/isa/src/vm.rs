@@ -153,15 +153,48 @@ impl Vm {
     }
 
     /// Returns the effect [`Vm::step`] would produce without retiring the
-    /// instruction — the parallel-step classifier's lookahead. Implemented
-    /// by stepping a clone, so it can never disagree with the real step.
+    /// instruction — the parallel-step classifier's lookahead. `step`
+    /// computes its effect through the same [`Vm::effect_of`], so the two
+    /// can never disagree.
     ///
     /// # Panics
     ///
     /// Panics exactly when [`Vm::step`] would.
     pub fn peek_effect(&self) -> Effect {
-        let mut probe = self.clone();
-        probe.step()
+        assert_eq!(self.state, VmState::Ready, "peek_effect() while not ready");
+        self.effect_of(self.program.fetch(self.pc))
+    }
+
+    /// The effect of retiring `instr` from the current registers (before
+    /// any of its register, pc or state updates).
+    fn effect_of(&self, instr: &Instr) -> Effect {
+        match *instr {
+            Instr::Li { .. }
+            | Instr::Mv { .. }
+            | Instr::Alu { .. }
+            | Instr::AluImm { .. }
+            | Instr::Jmp { .. } => Effect::Compute { cycles: 1 },
+            // Null/unaligned addresses are surfaced to the runtime, which
+            // treats them as simulated faults (§7's "Others" abort class),
+            // not VM panics.
+            Instr::Ld { rd, base, offset } => Effect::Load {
+                addr: self.effective_addr(base, offset),
+                dst: rd,
+                addr_indirect: self.indirect[base.index()],
+            },
+            Instr::St { base, offset, src } => Effect::Store {
+                addr: self.effective_addr(base, offset),
+                value: self.regs[src.index()],
+                addr_indirect: self.indirect[base.index()],
+            },
+            Instr::Branch { cond, rs1, rs2, .. } => Effect::Branch {
+                taken: cond.eval(self.regs[rs1.index()], self.regs[rs2.index()]),
+                cond_indirect: self.indirect[rs1.index()] || self.indirect[rs2.index()],
+            },
+            Instr::Nop { cycles } => Effect::Compute { cycles },
+            Instr::XEnd => Effect::Commit,
+            Instr::XAbort { code } => Effect::Abort { code },
+        }
     }
 
     /// Retires the next instruction and returns its effect.
@@ -175,83 +208,42 @@ impl Vm {
     pub fn step(&mut self) -> Effect {
         assert_eq!(self.state, VmState::Ready, "step() while not ready");
         let instr = self.program.fetch(self.pc).clone();
+        let effect = self.effect_of(&instr);
         self.pc += 1;
         self.retired += 1;
         match instr {
             Instr::Li { rd, imm } => {
                 self.regs[rd.index()] = imm;
                 self.indirect[rd.index()] = false;
-                Effect::Compute { cycles: 1 }
             }
             Instr::Mv { rd, rs } => {
                 self.regs[rd.index()] = self.regs[rs.index()];
                 self.indirect[rd.index()] = self.indirect[rs.index()];
-                Effect::Compute { cycles: 1 }
             }
             Instr::Alu { op, rd, rs1, rs2 } => {
                 self.regs[rd.index()] = op.apply(self.regs[rs1.index()], self.regs[rs2.index()]);
                 self.indirect[rd.index()] =
                     self.indirect[rs1.index()] || self.indirect[rs2.index()];
-                Effect::Compute { cycles: 1 }
             }
             Instr::AluImm { op, rd, rs, imm } => {
                 self.regs[rd.index()] = op.apply(self.regs[rs.index()], imm);
                 self.indirect[rd.index()] = self.indirect[rs.index()];
-                Effect::Compute { cycles: 1 }
             }
-            Instr::Ld { rd, base, offset } => {
-                // Null/unaligned addresses are surfaced to the runtime,
-                // which treats them as simulated faults (§7's "Others"
-                // abort class), not VM panics.
-                let addr = self.effective_addr(base, offset);
-                let addr_indirect = self.indirect[base.index()];
+            Instr::Ld { rd, .. } => {
                 self.state = VmState::AwaitLoad(rd);
                 self.loads_retired += 1;
-                Effect::Load {
-                    addr,
-                    dst: rd,
-                    addr_indirect,
-                }
             }
-            Instr::St { base, offset, src } => {
-                let addr = self.effective_addr(base, offset);
-                self.stores_retired += 1;
-                Effect::Store {
-                    addr,
-                    value: self.regs[src.index()],
-                    addr_indirect: self.indirect[base.index()],
-                }
-            }
-            Instr::Branch {
-                cond,
-                rs1,
-                rs2,
-                target,
-            } => {
-                let taken = cond.eval(self.regs[rs1.index()], self.regs[rs2.index()]);
-                let cond_indirect = self.indirect[rs1.index()] || self.indirect[rs2.index()];
-                if taken {
+            Instr::St { .. } => self.stores_retired += 1,
+            Instr::Branch { target, .. } => {
+                if matches!(effect, Effect::Branch { taken: true, .. }) {
                     self.pc = self.program.resolve(target);
                 }
-                Effect::Branch {
-                    taken,
-                    cond_indirect,
-                }
             }
-            Instr::Jmp { target } => {
-                self.pc = self.program.resolve(target);
-                Effect::Compute { cycles: 1 }
-            }
-            Instr::Nop { cycles } => Effect::Compute { cycles },
-            Instr::XEnd => {
-                self.state = VmState::Finished;
-                Effect::Commit
-            }
-            Instr::XAbort { code } => {
-                self.state = VmState::Finished;
-                Effect::Abort { code }
-            }
+            Instr::Jmp { target } => self.pc = self.program.resolve(target),
+            Instr::Nop { .. } => {}
+            Instr::XEnd | Instr::XAbort { .. } => self.state = VmState::Finished,
         }
+        effect
     }
 
     /// Completes an outstanding load with `value`, setting the destination
@@ -418,6 +410,44 @@ mod tests {
         let mut mem = clear_mem::Memory::new();
         assert_eq!(run_to_end(&mut vm, &mut mem), Effect::Commit);
         assert_eq!(vm.reg(Reg(1)), 4);
+    }
+
+    #[test]
+    fn peek_predicts_every_step_without_retiring() {
+        // A pointer-chasing loop: loads, indirect stores, both branch
+        // outcomes, a jump and a multi-cycle compute.
+        let mut b = ProgramBuilder::new();
+        let top = b.label();
+        let done = b.label();
+        b.li(Reg(1), 0).li(Reg(2), 3);
+        b.bind(top)
+            .branch(Cond::Ge, Reg(1), Reg(2), done)
+            .ld(Reg(3), Reg(0), 0)
+            .st(Reg(3), 8, Reg(1))
+            .addi(Reg(1), Reg(1), 1)
+            .compute(4)
+            .jmp(top)
+            .bind(done)
+            .xend();
+        let mut vm = Vm::new(Arc::new(b.build()));
+        let mut mem = clear_mem::Memory::new();
+        let a = mem.alloc_words(4);
+        mem.store_word(a, a.0);
+        vm.set_reg(Reg(0), a.0);
+        loop {
+            let retired = vm.retired();
+            let peeked = vm.peek_effect();
+            assert_eq!(vm.retired(), retired, "peek must not retire");
+            let effect = vm.step();
+            assert_eq!(peeked, effect);
+            match effect {
+                Effect::Load { addr, .. } => vm.finish_load(mem.load_word(addr)),
+                Effect::Store { addr, value, .. } => mem.store_word(addr, value),
+                Effect::Commit => break,
+                _ => {}
+            }
+        }
+        assert_eq!(vm.reg(Reg(1)), 3);
     }
 
     #[test]

@@ -89,11 +89,12 @@ pub struct MachineConfig {
     pub seed: u64,
     /// Hard stop after this many cycles on any core (deadlock guard).
     pub max_cycles: u64,
-    /// Host worker threads for deterministic intra-run parallel stepping:
-    /// `1` (the default) steps strictly sequentially, `0` uses all host
-    /// cores, `n ≥ 2` uses at most `n`. Results are byte-identical for
-    /// every value — only the `par_batch_*` perf counters differ between
-    /// `1` and `≥ 2`.
+    /// Deterministic intra-run batch stepping: `1` (the default) steps
+    /// cores strictly one at a time; `n ≥ 2` (or `0`, resolved to the
+    /// host's core count) steps cores tied at the minimum clock whose
+    /// next steps are provably local as one batch, on the calling
+    /// thread. Results are byte-identical for every value — only the
+    /// `par_batch_*` perf counters differ between `1` and `≥ 2`.
     pub sim_threads: usize,
 }
 

@@ -5,9 +5,11 @@ use super::*;
 
 impl Machine {
     pub(super) fn start_attempt(&mut self, c: usize) {
+        self.herd_polls(c);
         match self.cores[c].planned {
             RetryMode::Fallback => {
                 if self.fallback.try_write(CoreId(c)) {
+                    self.fallback_write_taken();
                     // Acquiring the lock writes its line, aborting every
                     // subscribed speculative AR through conflict detection.
                     let line = self.fallback.line();

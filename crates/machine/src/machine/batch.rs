@@ -8,8 +8,8 @@
 //! only the core's own state plus at most one directory shard, claims a
 //! shard no other batch member claims, strictly advances the core's
 //! clock, and performs no abort/commit/trace/RNG/global-memory effect —
-//! then the steps commute and can run on worker threads simultaneously
-//! with a byte-identical outcome.
+//! then the steps commute: they can run as one batch, in any order, with
+//! a byte-identical outcome.
 //!
 //! A batch is the maximal *prefix*, in pop order, of minimum-clock cores
 //! whose next step classifies as local, cut at the first global step or
@@ -38,22 +38,24 @@
 //! sequential path, which is also the only place the RNG, the trace, and
 //! cross-core effects live.
 //!
-//! Worker threads are `std::thread::scope` bound (no external deps);
-//! batches smaller than [`PAR_CUTOFF`] execute inline on the scheduler
-//! thread, which produces the same bytes, so all counters are independent
-//! of the worker count.
+//! Formation costs O(batch), not O(cores): an O(1) tie check, then the
+//! tied cores are read in place from the heap in pop order and classified
+//! until the first that is not local (an O(1) cache-and-lock check for
+//! memory steps); it allocates nothing and touches the heap only to
+//! re-key the members of a batch that runs.
+//!
+//! Members step one after another on the scheduler thread through
+//! allocation-free per-core views: a batch replaces its members' heap
+//! pops, not their execution. Worker threads would not repay their
+//! spawn below about 2000 members, a batch size no machine the
+//! repository runs reaches (DESIGN.md §10).
 
 use super::*;
-use clear_coherence::{LocalView, ServedBy};
-use clear_mem::disjoint_muts;
-
-/// Minimum batch size worth shipping to worker threads; below this the
-/// batch executes inline (identical results, no spawn overhead).
-const PAR_CUTOFF: usize = 8;
+use clear_coherence::LocalView;
 
 /// A classified local step, recorded at batch-formation time.
 #[derive(Clone, Copy, Debug)]
-enum LocalStep {
+pub(super) enum LocalStep {
     /// `Phase::Think` expiring strictly in the future.
     Think { until: u64 },
     /// One VM step whose effect stays core-local; `shard` is the claimed
@@ -62,16 +64,9 @@ enum LocalStep {
     Exec { shard: Option<usize> },
 }
 
-/// One batch member's working set, handed to a worker thread.
-struct LocalTask<'a> {
-    core: &'a mut Core,
-    clock: &'a mut u64,
-    view: LocalView<'a>,
-}
-
 impl Machine {
-    /// `true` when parallel batches may form at all: a worker budget of at
-    /// least two, and an L1 latency of at least one cycle so every local
+    /// `true` when batches may form at all: `sim_threads` of at least
+    /// two, and an L1 latency of at least one cycle so every local
     /// step strictly advances its core's clock (a zero-latency hit would
     /// let the sequential scheduler re-pop the same core before later
     /// batch members, breaking the commutation argument). The
@@ -85,63 +80,68 @@ impl Machine {
     }
 
     /// Attempts to form and execute one parallel batch starting at the
-    /// scheduler minimum. Returns `true` if a batch of ≥ 2 steps ran (the
-    /// heap is already re-keyed); `false` leaves the heap untouched for
-    /// the sequential path.
+    /// scheduler minimum. Returns `true` if a batch of ≥ 2 steps ran (its
+    /// members re-keyed in the heap); `false` leaves the heap untouched
+    /// for the sequential path. Formation reads the tied set in place and
+    /// allocates nothing: the heap changes only when a batch runs.
     pub(super) fn try_parallel_batch(&mut self, sched: &mut CoreHeap) -> bool {
+        // Most steps have no tie at all: check that first (O(1)), then the
+        // minimum's own step, before reading the tied set.
+        if !sched.has_tie() {
+            return false;
+        }
         let first = sched.peek().expect("caller checked");
         let clock = self.clocks[first];
         let Some(step) = self.classify_local(first, clock) else {
             return false;
         };
-        let mut members: Vec<(usize, LocalStep)> = vec![(first, step)];
-        let mut claims: Vec<usize> = Vec::new();
-        if let LocalStep::Exec { shard: Some(s) } = step {
-            claims.push(s);
-        }
-        sched.remove(first);
-        // A parked core's virtual poll at this clock cuts the batch where
-        // per-poll stepping would have popped it (computed on demand: most
-        // attempts end at the first candidate).
-        let mut cut: Option<Option<usize>> = None;
-        while let Some(c) = sched.peek() {
-            if self.clocks[c] != clock {
-                break;
-            }
-            let cut = *cut.get_or_insert_with(|| self.parked_poll_cut(first, clock));
-            if cut.is_some_and(|w| w < c) {
-                break;
-            }
+        let mut frontier = std::mem::take(&mut self.scratch_frontier);
+        let mut members = std::mem::take(&mut self.scratch_members);
+        members.clear();
+        members.push((first, step));
+        let mut tied = sched.tied_in_order(&mut frontier);
+        let lead = tied.next();
+        debug_assert_eq!(lead, Some(first), "the minimum leads its tie");
+        for c in tied {
             let Some(step) = self.classify_local(c, clock) else {
                 break;
             };
             if let LocalStep::Exec { shard: Some(s) } = step {
-                if claims.contains(&s) {
+                if members
+                    .iter()
+                    .any(|&(_, m)| matches!(m, LocalStep::Exec { shard: Some(t) } if t == s))
+                {
                     break;
                 }
-                claims.push(s);
             }
-            sched.remove(c);
             members.push((c, step));
         }
-        if members.len() < 2 {
-            sched.push(first, clock);
-            return false;
+        self.scratch_frontier = frontier;
+        // A parked core's virtual poll at this clock cuts the batch where
+        // per-poll stepping would have popped it.
+        if let [_, .., (last, _)] = members[..] {
+            if let Some(w) = self.parked_poll_cut(first, last, clock) {
+                members.truncate(members.partition_point(|&(c, _)| c < w));
+            }
         }
-        self.execute_batch(&members);
-        for &(c, _) in &members {
-            debug_assert!(self.clocks[c] > clock, "local steps must advance");
-            sched.push(c, self.clocks[c]);
+        let n = members.len();
+        if n >= 2 {
+            self.execute_batch(&members);
+            for &(c, _) in &members {
+                debug_assert!(self.clocks[c] > clock, "local steps must advance");
+                sched.update(c, self.clocks[c]);
+            }
+            // Mirror the sequential loop's per-step accounting (one step
+            // and one successful heap re-key per member).
+            let n = n as u64;
+            self.perf.steps += n;
+            self.perf.sched_updates += n;
+            self.perf.par_batches += 1;
+            self.perf.par_batch_steps += n;
+            self.perf.par_batch_max = self.perf.par_batch_max.max(n);
         }
-        let n = members.len() as u64;
-        // Mirror the sequential loop's per-step accounting (one step and
-        // one successful heap re-key per member).
-        self.perf.steps += n;
-        self.perf.sched_updates += n;
-        self.perf.par_batches += 1;
-        self.perf.par_batch_steps += n;
-        self.perf.par_batch_max = self.perf.par_batch_max.max(n);
-        true
+        self.scratch_members = members;
+        n >= 2
     }
 
     /// Classifies core `c`'s next step against current (pre-batch) state:
@@ -179,123 +179,85 @@ impl Machine {
         {
             return None;
         }
-        match vm.peek_effect() {
-            Effect::Compute { .. } | Effect::Branch { .. } => Some(LocalStep::Exec { shard: None }),
-            Effect::Commit | Effect::Abort { .. } => None,
-            Effect::Load { addr, .. } => {
-                if self.fault(addr) {
-                    return None;
-                }
-                let line = addr.line();
-                if core
-                    .discovery
-                    .as_ref()
-                    .is_some_and(|d| d.would_overflow(line))
-                {
-                    return None;
-                }
-                if !core.sq.is_empty() && core.sq.contains_key(&addr.0) {
-                    // Store-to-load forward: no coherence traffic at all.
-                    return Some(LocalStep::Exec { shard: None });
-                }
-                self.classify_probe(c, line, Access::Read)
+        let (addr, access) = match vm.peek_effect() {
+            Effect::Compute { .. } | Effect::Branch { .. } => {
+                return Some(LocalStep::Exec { shard: None })
             }
-            Effect::Store { addr, .. } => {
-                if self.fault(addr) {
-                    return None;
-                }
-                let line = addr.line();
-                if core
-                    .discovery
-                    .as_ref()
-                    .is_some_and(|d| d.would_overflow(line))
-                {
-                    return None;
-                }
-                self.classify_probe(c, line, Access::Write)
-            }
+            Effect::Commit | Effect::Abort { .. } => return None,
+            Effect::Load { addr, .. } => (addr, Access::Read),
+            Effect::Store { addr, .. } => (addr, Access::Write),
+        };
+        if self.fault(addr) {
+            return None;
         }
-    }
-
-    fn classify_probe(&self, c: usize, line: LineAddr, access: Access) -> Option<LocalStep> {
-        let p = self.coherence.probe(CoreId(c), line, access);
-        if p.locked_by_other.is_some()
-            || p.served_by != ServedBy::L1
-            || !p.remote_impacts.is_empty()
+        let line = addr.line();
+        if core
+            .discovery
+            .as_ref()
+            .is_some_and(|d| d.would_overflow(line))
         {
             return None;
         }
-        Some(LocalStep::Exec {
+        if access == Access::Read && !core.sq.is_empty() && core.sq.contains_key(&addr.0) {
+            // Store-to-load forward: no coherence traffic at all.
+            return Some(LocalStep::Exec { shard: None });
+        }
+        let hit = self.coherence.is_unlocked_l1_hit(CoreId(c), line, access);
+        #[cfg(debug_assertions)]
+        {
+            let p = self.coherence.probe(CoreId(c), line, access);
+            let probed = p.locked_by_other.is_none()
+                && p.served_by == clear_coherence::ServedBy::L1
+                && p.remote_impacts.is_empty();
+            debug_assert_eq!(hit, probed, "cheap L1-hit check disagrees with probe");
+        }
+        hit.then(|| LocalStep::Exec {
             shard: Some(CoherenceSystem::shard_of(line)),
         })
     }
 
-    /// Executes a formed batch: think transitions inline, VM steps through
-    /// split per-core/per-shard views — on scoped worker threads when the
-    /// batch is large enough — then merges the buffered L1-hit counts at
+    /// Executes a formed batch: think transitions and VM steps through
+    /// per-core/per-shard views, then merges the buffered L1-hit counts at
     /// the barrier.
     fn execute_batch(&mut self, members: &[(usize, LocalStep)]) {
+        let mut hits = 0;
         for &(c, step) in members {
-            if let LocalStep::Think { until } = step {
-                self.clocks[c] = until;
-                self.phases[c] = Phase::StartAttempt;
-            }
-        }
-        let exec: Vec<(usize, Option<usize>)> = members
-            .iter()
-            .filter_map(|&(c, step)| match step {
-                LocalStep::Exec { shard } => Some((c, shard)),
-                LocalStep::Think { .. } => None,
-            })
-            .collect();
-        if exec.is_empty() {
-            return;
-        }
-        let ids: Vec<usize> = exec.iter().map(|&(c, _)| c).collect();
-        let views = self.coherence.split_local_views(&exec);
-        let cores = disjoint_muts(&mut self.cores, &ids);
-        let clocks = disjoint_muts(&mut self.clocks, &ids);
-        let memory = &self.memory;
-        let mut tasks: Vec<LocalTask<'_>> = views
-            .into_iter()
-            .zip(cores)
-            .zip(clocks)
-            .map(|((view, core), clock)| LocalTask { core, clock, view })
-            .collect();
-        if tasks.len() >= PAR_CUTOFF {
-            let chunk = tasks.len().div_ceil(self.sim_threads);
-            std::thread::scope(|s| {
-                for chunk_tasks in tasks.chunks_mut(chunk) {
-                    s.spawn(move || {
-                        for t in chunk_tasks {
-                            step_local(t, memory);
-                        }
-                    });
+            match step {
+                LocalStep::Think { until } => self.end_think(c, until),
+                LocalStep::Exec { shard } => {
+                    let mut view = self.coherence.local_view(c, shard);
+                    step_local(
+                        &mut self.cores[c],
+                        &mut self.clocks[c],
+                        &mut view,
+                        &self.memory,
+                    );
+                    hits += view.l1_hits();
                 }
-            });
-        } else {
-            for t in &mut tasks {
-                step_local(t, memory);
             }
         }
-        let hits: u64 = tasks.iter().map(|t| t.view.l1_hits()).sum();
-        drop(tasks);
         self.coherence.merge_local_hits(hits);
+    }
+
+    /// A think step: the core's clock jumps to `until` and it moves on to
+    /// its next attempt.
+    pub(super) fn end_think(&mut self, c: usize, until: u64) {
+        self.clocks[c] = until;
+        self.phases[c] = Phase::StartAttempt;
     }
 }
 
 /// Executes one classified-local VM step, mirroring the corresponding
 /// sequential `run_step`/`do_load`/`do_store` paths instruction for
 /// instruction.
-fn step_local(task: &mut LocalTask<'_>, memory: &Memory) {
-    let core = &mut *task.core;
+fn step_local(core: &mut Core, clock: &mut u64, view: &mut LocalView<'_>, memory: &Memory) {
     let effect = core.vm.as_mut().expect("vm armed").step();
     match effect {
         Effect::Compute { cycles } => {
-            *task.clock += cycles.max(1) as u64;
+            *clock += cycles.max(1) as u64;
         }
         Effect::Branch { cond_indirect, .. } => {
-            *task.clock += 1;
+            *clock += 1;
             if let Some(d) = core.discovery.as_mut() {
                 d.on_branch(cond_indirect);
             }
@@ -313,13 +275,13 @@ fn step_local(task: &mut LocalTask<'_>, memory: &Memory) {
             }
             if !core.sq.is_empty() {
                 if let Some(&v) = core.sq.get(&addr.0) {
-                    *task.clock += 1;
+                    *clock += 1;
                     core.vm.as_mut().unwrap().finish_load(v);
                     return;
                 }
             }
-            let lat = task.view.apply_hit(line, Access::Read, TxTrack::Read);
-            *task.clock += lat;
+            let lat = view.apply_hit(line, Access::Read, TxTrack::Read);
+            *clock += lat;
             let v = memory.load_word(addr);
             core.vm.as_mut().unwrap().finish_load(v);
         }
@@ -334,8 +296,8 @@ fn step_local(task: &mut LocalTask<'_>, memory: &Memory) {
                 d.on_access(line, true, addr_indirect);
                 debug_assert!(!d.overflowed(), "classifier predicted no overflow");
             }
-            let lat = task.view.apply_hit(line, Access::Write, TxTrack::Write);
-            *task.clock += lat;
+            let lat = view.apply_hit(line, Access::Write, TxTrack::Write);
+            *clock += lat;
             core.sq.insert(addr.0, value);
         }
         Effect::Commit | Effect::Abort { .. } => {

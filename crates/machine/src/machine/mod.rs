@@ -197,8 +197,8 @@ pub struct Machine {
     /// while it is out of the scheduler heap waiting for a release (see
     /// the `park` module).
     waits: Vec<Option<park::Wait>>,
-    /// Resolved intra-run worker budget (from
-    /// [`MachineConfig::sim_threads`]; `1` disables parallel stepping).
+    /// Resolved [`MachineConfig::sim_threads`]; `1` disables batch
+    /// stepping.
     sim_threads: usize,
     coherence: CoherenceSystem,
     fallback: FallbackLock,
@@ -211,13 +211,23 @@ pub struct Machine {
     /// Cores whose clocks were pushed forward by a remote abort since the
     /// last scheduler step; the run loop re-keys their heap entries.
     sched_touched: Vec<usize>,
-    /// Cores parked on a failed lock poll, in no particular order.
-    parked: Vec<usize>,
+    /// Cores parked on a failed lock poll, one list per [`park::Wait`]
+    /// kind, each in no particular order.
+    parked: [Vec<usize>; 2],
     /// Set by a failed poll: the run loop parks the stepping core.
     park_request: Option<park::Wait>,
-    /// Raised by a release during the current step; the run loop then
-    /// re-checks the parked cores.
-    wake: bool,
+    /// Raised by releases (and a fallback write acquisition) during the
+    /// current step; the run loop then re-checks the matching parked
+    /// cores.
+    wakes: park::Wakes,
+    /// `herd[c]`: core `c` was woken from a fallback wait and has not
+    /// polled since (see the `park` module); `herd_len` counts them.
+    herd: Vec<bool>,
+    herd_len: usize,
+    /// Cores moved back to the parked set by herd re-parks, counted in
+    /// debug builds only (see [`Machine::herd_reparks`]).
+    #[cfg(debug_assertions)]
+    herd_reparked: u64,
     /// Simulator-kernel counters for the current run (see [`crate::perf`]).
     perf: PerfCounters,
     /// Opt-in metrics registry and hooks (see the `metrics` module).
@@ -229,6 +239,10 @@ pub struct Machine {
     /// groups; taken, filled, and put back on the hot path.
     scratch_victims: Vec<TxInfo>,
     scratch_group: Vec<LineAddr>,
+    /// Reused buffers of batch formation: the tied-set walk's frontier and
+    /// the members.
+    scratch_frontier: Vec<(usize, usize)>,
+    scratch_members: Vec<(usize, batch::LocalStep)>,
 }
 
 impl std::fmt::Debug for Machine {
@@ -286,14 +300,20 @@ impl Machine {
             rng,
             trace: Trace::new(),
             sched_touched: Vec::new(),
-            parked: Vec::new(),
+            parked: [Vec::new(), Vec::new()],
             park_request: None,
-            wake: false,
+            wakes: park::Wakes::default(),
+            herd: vec![false; config.cores],
+            herd_len: 0,
+            #[cfg(debug_assertions)]
+            herd_reparked: 0,
             perf: PerfCounters::default(),
             metrics: None,
             poisoned_plans: FxHashSet::default(),
             scratch_victims: Vec::new(),
             scratch_group: Vec::new(),
+            scratch_frontier: Vec::new(),
+            scratch_members: Vec::new(),
             config,
         }
     }
@@ -329,6 +349,14 @@ impl Machine {
         self.workload.as_ref()
     }
 
+    /// How many times a core was moved back to the parked set by a herd
+    /// re-park so far (see the `park` module). Debug builds only: it lets
+    /// tests see that the path ran, and is not a simulated counter.
+    #[cfg(debug_assertions)]
+    pub fn herd_reparks(&self) -> u64 {
+        self.herd_reparked
+    }
+
     /// The speculation backend driving this machine.
     pub fn backend(&self) -> &dyn SpeculationBackend {
         self.backend.as_ref()
@@ -344,7 +372,7 @@ impl Machine {
     /// With [`MachineConfig::sim_threads`] ≥ 2 (or `0` = auto), cores tied
     /// at the minimum clock whose next step is provably local — an L1 hit
     /// in a distinct directory shard, a compute/branch step, or think time
-    /// — are stepped as one parallel batch (see the `batch` module). The
+    /// — are stepped as one batch (see the `batch` module). The
     /// batch path is byte-identical to sequential stepping: only the
     /// `par_batch_*` perf counters reveal it ran.
     pub fn run(&mut self) -> RunStats {
@@ -368,7 +396,7 @@ impl Machine {
             if batching && self.try_parallel_batch(&mut sched) {
                 // Batch members were re-keyed inside; local steps never
                 // touch `sched_touched`, release a lock or finish a core.
-                debug_assert!(!self.wake && self.park_request.is_none());
+                debug_assert!(!self.wakes.any() && self.park_request.is_none());
                 continue;
             }
             self.step_core(c);
@@ -396,11 +424,11 @@ impl Machine {
                 }
                 self.sched_touched.clear();
             }
-            if self.wake {
-                self.wake_parked(&mut sched, t, c);
+            if self.wakes.any() {
+                self.after_wakes(&mut sched, t, c);
             }
         }
-        if !self.parked.is_empty() {
+        if self.parked.iter().any(|list| !list.is_empty()) {
             // Parked cores poll on until the safety stop: a run cannot
             // finish with waiters left (nothing is left to release them).
             self.stats.timed_out = true;
@@ -482,10 +510,7 @@ impl Machine {
         match self.phases[c] {
             Phase::Finished => {}
             Phase::Idle => self.fetch_next(c),
-            Phase::Think { until } => {
-                self.clocks[c] = until;
-                self.phases[c] = Phase::StartAttempt;
-            }
+            Phase::Think { until } => self.end_think(c, until),
             Phase::StartAttempt => self.start_attempt(c),
             Phase::LockAcquire { idx } => self.lock_step(c, idx),
             Phase::Running => self.run_step(c),

@@ -55,13 +55,14 @@ impl Cell {
         Preset::ALL.iter().any(|p| p.backend() == self.backend)
     }
 
-    /// Runs the cell: `(memory hash, RunStats Debug with wall time zeroed)`.
-    fn run(&self) -> (u64, String) {
+    /// Runs the cell: `(memory hash, RunStats Debug with wall time
+    /// zeroed)`, and the machine for further queries.
+    fn run(&self) -> (u64, String, Machine) {
         let w = by_name(self.bench, self.size, 1).expect("known benchmark");
         let mut m = Machine::new(self.config(), w);
         let mut stats: RunStats = m.run();
         stats.perf.run_wall_ns = 0;
-        (fnv1a(m.memory().words()), format!("{stats:?}"))
+        (fnv1a(m.memory().words()), format!("{stats:?}"), m)
     }
 }
 
@@ -163,6 +164,19 @@ fn cells() -> Vec<Cell> {
             });
         }
     }
+    // A 256-core genome herd: write releases wake hundreds of fallback
+    // waiters at once, and the next writer re-parks the rest in bulk.
+    for sim_threads in [1, 2] {
+        v.push(Cell {
+            bench: "genome",
+            size: Size::Tiny,
+            cores: 256,
+            policy: "C".to_string(),
+            backend: Preset::C.backend(),
+            sim_threads,
+            max_cycles: None,
+        });
+    }
     v
 }
 
@@ -184,13 +198,19 @@ fn pinned(label: &str) -> (u64, &'static str) {
     panic!("no pin for {label}");
 }
 
+/// Runs `cell`, asserts it matches its pin, and returns the machine.
+fn check_cell(cell: &Cell) -> Machine {
+    let label = cell.label();
+    let (hash, stats, m) = cell.run();
+    let (want_hash, want_stats) = pinned(&label);
+    assert_eq!(stats, want_stats, "{label}: RunStats drifted");
+    assert_eq!(hash, want_hash, "{label}: final memory drifted");
+    m
+}
+
 fn check(cells: impl Iterator<Item = Cell>) {
     for cell in cells {
-        let label = cell.label();
-        let (hash, stats) = cell.run();
-        let (want_hash, want_stats) = pinned(&label);
-        assert_eq!(stats, want_stats, "{label}: RunStats drifted");
-        assert_eq!(hash, want_hash, "{label}: final memory drifted");
+        check_cell(&cell);
     }
 }
 
@@ -202,6 +222,20 @@ fn genome_at_64_cores_matches_per_poll_stepping() {
 #[test]
 fn genome_at_128_cores_matches_per_poll_stepping() {
     check(cells().into_iter().filter(|c| c.cores == 128));
+}
+
+#[test]
+fn genome_herd_at_256_cores_is_reparked_and_matches_per_poll_stepping() {
+    for cell in cells().into_iter().filter(|c| c.cores == 256) {
+        let _m = check_cell(&cell);
+        // The re-park counter exists in debug builds only.
+        #[cfg(debug_assertions)]
+        assert!(
+            _m.herd_reparks() > 0,
+            "{}: the herd re-park path must run",
+            cell.label()
+        );
+    }
 }
 
 #[test]
@@ -224,7 +258,7 @@ fn timed_out_run_ends_on_per_poll_clocks() {
         .into_iter()
         .find(|c| c.max_cycles.is_some())
         .expect("timeout cell");
-    let (_, stats) = cell.run();
+    let (_, stats, _) = cell.run();
     assert!(stats.contains("timed_out: true"), "the cell must time out");
     assert!(
         !stats.contains("fallback_wait_cycles: 0,"),

@@ -39,7 +39,6 @@ mod lex;
 mod lineset;
 mod memory;
 pub mod rng;
-mod util;
 
 pub use addr::{Addr, LineAddr, LINE_BYTES, WORD_BYTES};
 pub use cache::{EvictionOutcome, PinnedSetFull, SetAssocCache};
@@ -49,4 +48,3 @@ pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use lex::{lock_order, LexKey};
 pub use lineset::{LineBitSet, LineSet};
 pub use memory::Memory;
-pub use util::disjoint_muts;
