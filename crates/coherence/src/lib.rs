@@ -12,9 +12,11 @@
 //! * a **two-phase access API**: [`CoherenceSystem::probe`] reports what an
 //!   access *would* do (which remote transactional copies it would
 //!   invalidate, whether it hits a locked line), so the HTM/CLEAR policy
-//!   layer can decide between proceeding ([`CoherenceSystem::apply`]),
-//!   NACKing the requester, or retrying — the Fig. 5/6 deadlock-avoidance
-//!   behaviours;
+//!   layer can decide between proceeding
+//!   ([`CoherenceSystem::apply_probed`]), NACKing the requester, or
+//!   retrying — the Fig. 5/6 deadlock-avoidance behaviours. The remote
+//!   impacts go to a buffer the caller owns and reuses, so no access
+//!   allocates;
 //! * latency classification per Table 2 (L1 1, L2 10, L3 45, memory 80
 //!   cycles) with an L2-shadow / LLC presence model.
 //!
@@ -35,8 +37,13 @@
 //! // Core 0 writes the line transactionally.
 //! sys.apply(CoreId(0), l, Access::Write, TxTrack::Write).unwrap();
 //! // Core 1 probing a write sees it would hit core 0's write set.
-//! let p = sys.probe(CoreId(1), l, Access::Write);
-//! assert!(p.remote_impacts.iter().any(|i| i.core == CoreId(0) && i.tx_write));
+//! let mut impacts = Vec::new();
+//! let p = sys.probe(CoreId(1), l, Access::Write, &mut impacts);
+//! assert!(impacts.iter().any(|i| i.core == CoreId(0) && i.tx_write));
+//! // Proceeding applies exactly the probed impacts: core 0 loses its copy.
+//! sys.apply_probed(CoreId(1), l, Access::Write, TxTrack::Write, p, &impacts)
+//!     .unwrap();
+//! assert!(!sys.is_cached(CoreId(0), l));
 //! ```
 
 #![warn(missing_docs)]

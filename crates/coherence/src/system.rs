@@ -115,8 +115,10 @@ impl RemoteImpact {
     }
 }
 
-/// Result of [`CoherenceSystem::probe`]: what an access would do.
-#[derive(Clone, Debug)]
+/// Result of [`CoherenceSystem::probe`]: what an access would do. The
+/// remote impacts it reports go to the caller's buffer, so the verdict
+/// itself is a small `Copy` value.
+#[derive(Clone, Copy, Debug)]
 pub struct ProbeResult {
     /// Level that would serve the access.
     pub served_by: ServedBy,
@@ -126,25 +128,21 @@ pub struct ProbeResult {
     /// requester. Such accesses must not be applied — the policy layer
     /// retries or NACKs them.
     pub locked_by_other: Option<CoreId>,
-    /// Remote copies this access would invalidate or downgrade.
-    pub remote_impacts: Vec<RemoteImpact>,
     /// Way index of the requester's own copy, so a fused probe/apply pair
     /// skips the second set scan. Only valid while the requester's cache
     /// is unmutated, which the probe/apply contract already guarantees.
     pub(crate) own_way: Option<usize>,
 }
 
-/// Result of a successfully applied access.
-#[derive(Clone, Debug)]
+/// Result of a successfully applied access. The remote copies it
+/// invalidated or downgraded are the impacts its probe reported (see
+/// [`CoherenceSystem::apply_probed`] and [`CoherenceSystem::lock_line`]).
+#[derive(Clone, Copy, Debug)]
 pub struct ApplyOk {
     /// Level that served the access.
     pub served_by: ServedBy,
     /// Latency in cycles.
     pub latency: u64,
-    /// Remote copies that were invalidated or downgraded, with their
-    /// transactional bits as they were *before* the access. The policy
-    /// layer aborts the corresponding transactions.
-    pub remote_impacts: Vec<RemoteImpact>,
 }
 
 /// Event counters for the energy model and traffic statistics.
@@ -206,6 +204,9 @@ pub struct CoherenceSystem {
     /// of shards (grown on demand) beats any hash map on the hot path.
     shards: Vec<DirShard>,
     stats: CoherenceStats,
+    /// Reused impact buffer of [`CoherenceSystem::apply`], whose callers
+    /// do not act on the impacts.
+    apply_scratch: Vec<RemoteImpact>,
 }
 
 #[inline]
@@ -236,6 +237,7 @@ impl CoherenceSystem {
                 .collect(),
             shards: Vec::new(),
             stats: CoherenceStats::default(),
+            apply_scratch: Vec::new(),
         }
     }
 
@@ -402,43 +404,63 @@ impl CoherenceSystem {
         base + impacts as u64 * self.config.lat_inval
     }
 
-    fn collect_impacts(&self, core: CoreId, line: LineAddr, access: Access) -> Vec<RemoteImpact> {
+    /// Appends the remote impacts of a missing access to `out`.
+    fn collect_impacts(
+        &self,
+        core: CoreId,
+        line: LineAddr,
+        access: Access,
+        out: &mut Vec<RemoteImpact>,
+    ) {
         let Some(dir) = self.dir_ref(line) else {
-            return Vec::new();
+            return;
         };
-        let mut impacts = Vec::new();
         // Walk only the set sharer bits (ascending core id, same order as
         // the equivalent 0..cores scan) instead of every core.
         for c in dir.sharers.iter_without(core.0) {
             let Some(meta) = self.per_core[c].cache.get(line) else {
                 continue;
             };
-            match access {
-                Access::Write => impacts.push(RemoteImpact {
-                    line,
-                    core: CoreId(c),
-                    tx_read: meta.tx_read,
-                    tx_write: meta.tx_write,
-                    would_invalidate: true,
-                }),
-                Access::Read => {
-                    if meta.mesi.is_exclusive() {
-                        impacts.push(RemoteImpact {
-                            line,
-                            core: CoreId(c),
-                            tx_read: meta.tx_read,
-                            tx_write: meta.tx_write,
-                            would_invalidate: false,
-                        });
-                    }
-                }
-            }
+            let would_invalidate = match access {
+                Access::Write => true,
+                Access::Read if meta.mesi.is_exclusive() => false,
+                Access::Read => continue,
+            };
+            out.push(RemoteImpact {
+                line,
+                core: CoreId(c),
+                tx_read: meta.tx_read,
+                tx_write: meta.tx_write,
+                would_invalidate,
+            });
         }
-        impacts
     }
 
-    /// Reports what an access by `core` would do, without changing state.
-    pub fn probe(&self, core: CoreId, line: LineAddr, access: Access) -> ProbeResult {
+    /// Reports what an access by `core` would do, without changing
+    /// coherence state. The remote copies it would invalidate or
+    /// downgrade replace the contents of `impacts`, in ascending core
+    /// order; the caller owns and reuses that buffer, so a probe allocates
+    /// nothing once the buffer has grown to the sharer count.
+    pub fn probe(
+        &self,
+        core: CoreId,
+        line: LineAddr,
+        access: Access,
+        impacts: &mut Vec<RemoteImpact>,
+    ) -> ProbeResult {
+        impacts.clear();
+        self.probe_append(core, line, access, impacts)
+    }
+
+    /// [`CoherenceSystem::probe`], appending to `impacts` instead of
+    /// replacing them (group locks collect every line's impacts).
+    fn probe_append(
+        &self,
+        core: CoreId,
+        line: LineAddr,
+        access: Access,
+        impacts: &mut Vec<RemoteImpact>,
+    ) -> ProbeResult {
         let locked_by_other = self
             .dir_ref(line)
             .and_then(|e| e.locked_by)
@@ -450,11 +472,10 @@ impl CoherenceSystem {
             (Some(m), Access::Write) => m.mesi.is_exclusive(),
             (None, _) => false,
         };
-        let remote_impacts = if hit {
-            Vec::new()
-        } else {
-            self.collect_impacts(core, line, access)
-        };
+        let start = impacts.len();
+        if !hit {
+            self.collect_impacts(core, line, access, impacts);
+        }
         let served_by = if hit {
             ServedBy::L1
         } else if own.is_some() {
@@ -464,21 +485,20 @@ impl CoherenceSystem {
         } else {
             self.classify_miss(core, line)
         };
-        let latency = self.latency_of(served_by, remote_impacts.len());
+        let latency = self.latency_of(served_by, impacts.len() - start);
         ProbeResult {
             served_by,
             latency,
             locked_by_other,
-            remote_impacts,
             own_way,
         }
     }
 
     /// `true` when an access by `core` would be an L1 hit on a line no
     /// other core holds locked: exactly [`probe`](Self::probe)'s verdict
-    /// `locked_by_other.is_none() && served_by == L1 &&
-    /// remote_impacts.is_empty()` (a hit never has remote impacts), in O(1)
-    /// and without collecting impacts.
+    /// `locked_by_other.is_none() && served_by == L1` with no remote
+    /// impacts (a hit never has any), in O(1) and without collecting
+    /// impacts.
     pub fn is_unlocked_l1_hit(&self, core: CoreId, line: LineAddr, access: Access) -> bool {
         let hit = self.per_core[core.0]
             .cache
@@ -519,7 +539,11 @@ impl CoherenceSystem {
         }
     }
 
-    /// Applies an access, updating caches and the directory.
+    /// Applies an access, updating caches and the directory: a
+    /// [`probe`](Self::probe) followed by [`apply_probed`](Self::apply_probed)
+    /// for callers that do not act on the remote impacts (they use an
+    /// internal reused buffer). The machine probes first, because it
+    /// resolves conflicts and aborts victims from the impacts.
     ///
     /// The caller must have routed away accesses to lines locked by another
     /// core (see [`CoherenceSystem::probe`]); applying one is a logic error.
@@ -543,15 +567,22 @@ impl CoherenceSystem {
         access: Access,
         tx: TxTrack,
     ) -> Result<ApplyOk, LockFail> {
-        self.apply_inner(core, line, access, tx, false)
+        let mut scratch = std::mem::take(&mut self.apply_scratch);
+        scratch.clear();
+        let r = self.apply_inner(core, line, access, tx, false, &mut scratch);
+        self.apply_scratch = scratch;
+        r
     }
 
-    /// Like [`CoherenceSystem::apply`], but consumes a [`ProbeResult`]
-    /// already obtained from [`CoherenceSystem::probe`] for the same
-    /// `(core, line, access)` instead of re-probing — the hot-path fusion
+    /// Applies an access whose verdict `probe` and remote `impacts` were
+    /// just obtained from [`CoherenceSystem::probe`] for the same
+    /// `(core, line, access)`, instead of re-probing — the hot-path fusion
     /// used by the simulation kernel. The caller must not have mutated
     /// coherence state between the probe and this call, or the cached
-    /// verdict (lock status, impacts, latency) is stale.
+    /// verdict (lock status, impacts, latency) is stale. `impacts` are
+    /// exactly the remote copies this call invalidates or downgrades, with
+    /// their transactional bits as they were *before* the access; the
+    /// policy layer aborts the corresponding transactions.
     ///
     /// # Errors
     ///
@@ -568,10 +599,13 @@ impl CoherenceSystem {
         access: Access,
         tx: TxTrack,
         probe: ProbeResult,
+        impacts: &[RemoteImpact],
     ) -> Result<ApplyOk, LockFail> {
-        self.finish_apply(core, line, access, tx, false, probe)
+        self.finish_apply(core, line, access, tx, false, probe, impacts)
     }
 
+    /// Probes and applies one access, appending its remote impacts to
+    /// `impacts`.
     fn apply_inner(
         &mut self,
         core: CoreId,
@@ -579,11 +613,14 @@ impl CoherenceSystem {
         access: Access,
         tx: TxTrack,
         lock: bool,
+        impacts: &mut Vec<RemoteImpact>,
     ) -> Result<ApplyOk, LockFail> {
-        let probe = self.probe(core, line, access);
-        self.finish_apply(core, line, access, tx, lock, probe)
+        let start = impacts.len();
+        let probe = self.probe_append(core, line, access, impacts);
+        self.finish_apply(core, line, access, tx, lock, probe, &impacts[start..])
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn finish_apply(
         &mut self,
         core: CoreId,
@@ -592,6 +629,7 @@ impl CoherenceSystem {
         tx: TxTrack,
         lock: bool,
         probe: ProbeResult,
+        impacts: &[RemoteImpact],
     ) -> Result<ApplyOk, LockFail> {
         assert!(
             probe.locked_by_other.is_none(),
@@ -600,13 +638,12 @@ impl CoherenceSystem {
         let ProbeResult {
             served_by,
             latency,
-            remote_impacts: impacts,
             own_way,
             ..
         } = probe;
 
         // Update remote copies.
-        for imp in &impacts {
+        for imp in impacts {
             if imp.would_invalidate {
                 self.invalidate_remote(imp.core, line);
             } else {
@@ -702,11 +739,7 @@ impl CoherenceSystem {
         self.llc_insert(line);
         self.per_core[core.0].l2_shadow.remove(line);
         self.record_serve(served_by);
-        Ok(ApplyOk {
-            served_by,
-            latency,
-            remote_impacts: impacts,
-        })
+        Ok(ApplyOk { served_by, latency })
     }
 
     /// A failed-mode discovery read (§5.1): a *non-aborting* request. It
@@ -769,6 +802,8 @@ impl CoherenceSystem {
 
     /// Acquires the cacheline lock on `line` for `core` (NS-CL/S-CL, §4.4):
     /// exclusive ownership plus the lock bit, invalidating remote copies.
+    /// The invalidated copies replace the contents of `impacts`, with their
+    /// transactional bits as they were before the acquisition.
     ///
     /// # Errors
     ///
@@ -776,7 +811,13 @@ impl CoherenceSystem {
     ///   requester must retry later (the directory entry is *not* left in a
     ///   transient state, per the Fig. 6 fix).
     /// * [`LockFail::Capacity`] — the requester's cache cannot pin the line.
-    pub fn lock_line(&mut self, core: CoreId, line: LineAddr) -> Result<ApplyOk, LockFail> {
+    pub fn lock_line(
+        &mut self,
+        core: CoreId,
+        line: LineAddr,
+        impacts: &mut Vec<RemoteImpact>,
+    ) -> Result<ApplyOk, LockFail> {
+        impacts.clear();
         if let Some(holder) = self.locked_by(line) {
             if holder != core {
                 self.stats.lock_conflicts += 1;
@@ -784,7 +825,7 @@ impl CoherenceSystem {
                 return Err(LockFail::LockedBy(holder));
             }
         }
-        let r = self.apply_inner(core, line, Access::Write, TxTrack::None, true)?;
+        let r = self.apply_inner(core, line, Access::Write, TxTrack::None, true, impacts)?;
         self.stats.locks += 1;
         self.note_lock(line);
         Ok(r)
@@ -797,7 +838,8 @@ impl CoherenceSystem {
     /// cache), the group locks silently at one cycle per line; otherwise a
     /// single directory-set lock transaction is modelled: one L3-class
     /// round trip charged once, plus invalidation costs for every remote
-    /// copy stolen across the group.
+    /// copy stolen across the group. The stolen copies of every group line
+    /// replace the contents of `impacts`, in group order.
     ///
     /// # Errors
     ///
@@ -809,7 +851,13 @@ impl CoherenceSystem {
     ///
     /// Panics if `lines` is empty or the lines span different directory
     /// sets.
-    pub fn lock_group(&mut self, core: CoreId, lines: &[LineAddr]) -> Result<ApplyOk, LockFail> {
+    pub fn lock_group(
+        &mut self,
+        core: CoreId,
+        lines: &[LineAddr],
+        impacts: &mut Vec<RemoteImpact>,
+    ) -> Result<ApplyOk, LockFail> {
+        impacts.clear();
         assert!(!lines.is_empty(), "empty lock group");
         let set = self.config.directory.set_index(lines[0]);
         assert!(
@@ -829,12 +877,8 @@ impl CoherenceSystem {
             }
         }
         let all_hit = lines.iter().all(|&l| self.has_exclusive(core, l));
-        let mut impacts = Vec::new();
-        let mut invalidations = 0usize;
         for &l in lines {
-            let r = self.apply_inner(core, l, Access::Write, TxTrack::None, true)?;
-            invalidations += r.remote_impacts.len();
-            impacts.extend(r.remote_impacts);
+            self.apply_inner(core, l, Access::Write, TxTrack::None, true, impacts)?;
             self.stats.locks += 1;
             self.note_lock(l);
         }
@@ -842,12 +886,11 @@ impl CoherenceSystem {
             lines.len() as u64 * self.config.lat_l1
         } else {
             // One set-lock round trip amortised over the group.
-            self.config.lat_l3 + invalidations as u64 * self.config.lat_inval
+            self.config.lat_l3 + impacts.len() as u64 * self.config.lat_inval
         };
         Ok(ApplyOk {
             served_by: if all_hit { ServedBy::L1 } else { ServedBy::L3 },
             latency,
-            remote_impacts: impacts,
         })
     }
 
@@ -913,7 +956,7 @@ impl CoherenceSystem {
     /// simultaneously locked) in one private cache — discovery assessment 2
     /// of §4.1.
     pub fn fits_locked(&self, lines: &[LineAddr]) -> bool {
-        SetAssocCache::<LineMeta>::fits_simultaneously(self.config.l1, lines.iter().copied())
+        SetAssocCache::<LineMeta>::fits_simultaneously(self.config.l1, lines)
     }
 
     /// One core's exclusive [`LocalView`] for a batch step: its per-core
@@ -1036,7 +1079,7 @@ mod tests {
         let l = LineAddr(10);
         let r = s.apply(CoreId(0), l, Access::Read, TxTrack::None).unwrap();
         assert_eq!(r.served_by, ServedBy::Memory);
-        let p = s.probe(CoreId(0), l, Access::Read);
+        let p = s.probe(CoreId(0), l, Access::Read, &mut Vec::new());
         assert_eq!(p.served_by, ServedBy::L1);
         assert_eq!(p.latency, 1);
     }
@@ -1056,9 +1099,12 @@ mod tests {
         let l = LineAddr(4);
         s.apply(CoreId(0), l, Access::Read, TxTrack::None).unwrap();
         s.apply(CoreId(1), l, Access::Read, TxTrack::None).unwrap();
-        let r = s.apply(CoreId(2), l, Access::Write, TxTrack::None).unwrap();
-        assert_eq!(r.remote_impacts.len(), 2);
-        assert!(r.remote_impacts.iter().all(|i| i.would_invalidate));
+        let mut imps = Vec::new();
+        let p = s.probe(CoreId(2), l, Access::Write, &mut imps);
+        s.apply_probed(CoreId(2), l, Access::Write, TxTrack::None, p, &imps)
+            .unwrap();
+        assert_eq!(imps.len(), 2);
+        assert!(imps.iter().all(|i| i.would_invalidate));
         assert!(!s.is_cached(CoreId(0), l));
         assert!(!s.is_cached(CoreId(1), l));
         assert!(s.has_exclusive(CoreId(2), l));
@@ -1069,9 +1115,12 @@ mod tests {
         let mut s = sys(2);
         let l = LineAddr(4);
         s.apply(CoreId(0), l, Access::Write, TxTrack::None).unwrap();
-        let r = s.apply(CoreId(1), l, Access::Read, TxTrack::None).unwrap();
-        assert_eq!(r.remote_impacts.len(), 1);
-        assert!(!r.remote_impacts[0].would_invalidate);
+        let mut imps = Vec::new();
+        let p = s.probe(CoreId(1), l, Access::Read, &mut imps);
+        s.apply_probed(CoreId(1), l, Access::Read, TxTrack::None, p, &imps)
+            .unwrap();
+        assert_eq!(imps.len(), 1);
+        assert!(!imps[0].would_invalidate);
         assert!(s.is_cached(CoreId(0), l));
         assert!(!s.has_exclusive(CoreId(0), l));
     }
@@ -1081,11 +1130,12 @@ mod tests {
         let mut s = sys(2);
         let l = LineAddr(4);
         s.apply(CoreId(0), l, Access::Read, TxTrack::Read).unwrap();
-        let p = s.probe(CoreId(1), l, Access::Write);
-        assert_eq!(p.remote_impacts.len(), 1);
-        assert!(p.remote_impacts[0].tx_read);
-        assert!(p.remote_impacts[0].is_tx_conflict(true));
-        assert!(!p.remote_impacts[0].is_tx_conflict(false));
+        let mut imps = Vec::new();
+        s.probe(CoreId(1), l, Access::Write, &mut imps);
+        assert_eq!(imps.len(), 1);
+        assert!(imps[0].tx_read);
+        assert!(imps[0].is_tx_conflict(true));
+        assert!(!imps[0].is_tx_conflict(false));
     }
 
     #[test]
@@ -1094,8 +1144,9 @@ mod tests {
         let l = LineAddr(4);
         s.apply(CoreId(0), l, Access::Write, TxTrack::Write)
             .unwrap();
-        let p = s.probe(CoreId(1), l, Access::Read);
-        assert!(p.remote_impacts[0].is_tx_conflict(false));
+        let mut imps = Vec::new();
+        s.probe(CoreId(1), l, Access::Read, &mut imps);
+        assert!(imps[0].is_tx_conflict(false));
     }
 
     #[test]
@@ -1124,7 +1175,7 @@ mod tests {
             .into_iter()
             .find(|&l| !s.is_cached(CoreId(0), l))
             .unwrap();
-        let p = s.probe(CoreId(0), revisit, Access::Read);
+        let p = s.probe(CoreId(0), revisit, Access::Read, &mut Vec::new());
         assert_eq!(p.served_by, ServedBy::L2);
     }
 
@@ -1132,10 +1183,10 @@ mod tests {
     fn lock_line_excludes_other_lockers() {
         let mut s = sys(2);
         let l = LineAddr(6);
-        s.lock_line(CoreId(0), l).unwrap();
+        s.lock_line(CoreId(0), l, &mut Vec::new()).unwrap();
         assert_eq!(s.locked_by(l), Some(CoreId(0)));
         assert_eq!(
-            s.lock_line(CoreId(1), l).unwrap_err(),
+            s.lock_line(CoreId(1), l, &mut Vec::new()).unwrap_err(),
             LockFail::LockedBy(CoreId(0))
         );
         assert_eq!(s.stats().lock_conflicts, 1);
@@ -1145,8 +1196,8 @@ mod tests {
     fn relock_by_holder_is_idempotent() {
         let mut s = sys(2);
         let l = LineAddr(6);
-        s.lock_line(CoreId(0), l).unwrap();
-        assert!(s.lock_line(CoreId(0), l).is_ok());
+        s.lock_line(CoreId(0), l, &mut Vec::new()).unwrap();
+        assert!(s.lock_line(CoreId(0), l, &mut Vec::new()).is_ok());
         assert_eq!(s.locked_by(l), Some(CoreId(0)));
     }
 
@@ -1154,23 +1205,25 @@ mod tests {
     fn probe_reports_locked_by_other() {
         let mut s = sys(2);
         let l = LineAddr(6);
-        s.lock_line(CoreId(0), l).unwrap();
-        let p = s.probe(CoreId(1), l, Access::Read);
+        s.lock_line(CoreId(0), l, &mut Vec::new()).unwrap();
+        let p = s.probe(CoreId(1), l, Access::Read, &mut Vec::new());
         assert_eq!(p.locked_by_other, Some(CoreId(0)));
-        let own = s.probe(CoreId(0), l, Access::Read);
+        let own = s.probe(CoreId(0), l, Access::Read, &mut Vec::new());
         assert_eq!(own.locked_by_other, None);
     }
 
     #[test]
     fn unlock_all_releases_every_lock() {
         let mut s = sys(2);
-        s.lock_line(CoreId(0), LineAddr(1)).unwrap();
-        s.lock_line(CoreId(0), LineAddr(2)).unwrap();
+        s.lock_line(CoreId(0), LineAddr(1), &mut Vec::new())
+            .unwrap();
+        s.lock_line(CoreId(0), LineAddr(2), &mut Vec::new())
+            .unwrap();
         assert_eq!(s.locked_count(CoreId(0)), 2);
         s.unlock_all(CoreId(0));
         assert_eq!(s.locked_count(CoreId(0)), 0);
         assert_eq!(s.locked_by(LineAddr(1)), None);
-        assert!(s.lock_line(CoreId(1), LineAddr(1)).is_ok());
+        assert!(s.lock_line(CoreId(1), LineAddr(1), &mut Vec::new()).is_ok());
     }
 
     #[test]
@@ -1178,9 +1231,10 @@ mod tests {
         let mut s = sys(2);
         let l = LineAddr(3);
         s.apply(CoreId(1), l, Access::Read, TxTrack::Read).unwrap();
-        let r = s.lock_line(CoreId(0), l).unwrap();
-        assert_eq!(r.remote_impacts.len(), 1);
-        assert!(r.remote_impacts[0].tx_read);
+        let mut imps = Vec::new();
+        s.lock_line(CoreId(0), l, &mut imps).unwrap();
+        assert_eq!(imps.len(), 1);
+        assert!(imps[0].tx_read);
         assert!(!s.is_cached(CoreId(1), l));
     }
 
@@ -1228,9 +1282,10 @@ mod tests {
         let l = LineAddr(2);
         s.apply(CoreId(0), l, Access::Read, TxTrack::None).unwrap();
         s.apply(CoreId(1), l, Access::Read, TxTrack::None).unwrap();
-        let p = s.probe(CoreId(0), l, Access::Write);
+        let mut imps = Vec::new();
+        let p = s.probe(CoreId(0), l, Access::Write, &mut imps);
         assert_eq!(p.served_by, ServedBy::L3);
-        assert_eq!(p.remote_impacts.len(), 1);
+        assert_eq!(imps.len(), 1);
     }
 
     #[test]
@@ -1240,7 +1295,8 @@ mod tests {
             .unwrap();
         s.apply(CoreId(0), LineAddr(1), Access::Read, TxTrack::None)
             .unwrap();
-        s.lock_line(CoreId(0), LineAddr(2)).unwrap();
+        s.lock_line(CoreId(0), LineAddr(2), &mut Vec::new())
+            .unwrap();
         s.unlock_all(CoreId(0));
         let st = s.stats();
         assert_eq!(st.mem_serves, 2); // line 1 first touch + lock of line 2
@@ -1254,14 +1310,15 @@ mod tests {
         let mut s = sys(2);
         // Directory has 8 sets; lines 1 and 9 share set 1.
         let (a, b) = (LineAddr(1), LineAddr(9));
-        s.lock_line(CoreId(1), b).unwrap();
+        s.lock_line(CoreId(1), b, &mut Vec::new()).unwrap();
         assert_eq!(
-            s.lock_group(CoreId(0), &[a, b]).unwrap_err(),
+            s.lock_group(CoreId(0), &[a, b], &mut Vec::new())
+                .unwrap_err(),
             LockFail::LockedBy(CoreId(1))
         );
         assert_eq!(s.locked_by(a), None, "nothing acquired on failure");
         s.unlock_all(CoreId(1));
-        assert!(s.lock_group(CoreId(0), &[a, b]).is_ok());
+        assert!(s.lock_group(CoreId(0), &[a, b], &mut Vec::new()).is_ok());
         assert_eq!(s.locked_by(a), Some(CoreId(0)));
         assert_eq!(s.locked_by(b), Some(CoreId(0)));
     }
@@ -1273,12 +1330,12 @@ mod tests {
         // Warm both lines exclusive.
         s.apply(CoreId(0), a, Access::Write, TxTrack::None).unwrap();
         s.apply(CoreId(0), b, Access::Write, TxTrack::None).unwrap();
-        let r = s.lock_group(CoreId(0), &[a, b]).unwrap();
+        let r = s.lock_group(CoreId(0), &[a, b], &mut Vec::new()).unwrap();
         assert_eq!(r.latency, 2, "all-Hit group locks at 1 cycle per line");
         s.unlock_all(CoreId(0));
         // Cold path costs a set-lock round trip.
         let mut s2 = sys(2);
-        let r2 = s2.lock_group(CoreId(0), &[a, b]).unwrap();
+        let r2 = s2.lock_group(CoreId(0), &[a, b], &mut Vec::new()).unwrap();
         assert!(r2.latency >= 45);
     }
 
@@ -1287,16 +1344,17 @@ mod tests {
         let mut s = sys(2);
         let (a, b) = (LineAddr(1), LineAddr(9));
         s.apply(CoreId(1), a, Access::Read, TxTrack::Read).unwrap();
-        let r = s.lock_group(CoreId(0), &[a, b]).unwrap();
-        assert_eq!(r.remote_impacts.len(), 1);
-        assert!(r.remote_impacts[0].tx_read);
+        let mut imps = Vec::new();
+        s.lock_group(CoreId(0), &[a, b], &mut imps).unwrap();
+        assert_eq!(imps.len(), 1);
+        assert!(imps[0].tx_read);
     }
 
     #[test]
     #[should_panic(expected = "spans directory sets")]
     fn lock_group_rejects_mixed_sets() {
         let mut s = sys(2);
-        let _ = s.lock_group(CoreId(0), &[LineAddr(1), LineAddr(2)]);
+        let _ = s.lock_group(CoreId(0), &[LineAddr(1), LineAddr(2)], &mut Vec::new());
     }
 
     #[test]
@@ -1304,7 +1362,7 @@ mod tests {
     fn apply_on_foreign_locked_line_panics() {
         let mut s = sys(2);
         let l = LineAddr(6);
-        s.lock_line(CoreId(0), l).unwrap();
+        s.lock_line(CoreId(0), l, &mut Vec::new()).unwrap();
         let _ = s.apply(CoreId(1), l, Access::Read, TxTrack::None);
     }
 
@@ -1316,9 +1374,10 @@ mod tests {
         for c in [0usize, 63, 64, 99] {
             s.apply(CoreId(c), l, Access::Read, TxTrack::Read).unwrap();
         }
-        let p = s.probe(CoreId(70), l, Access::Write);
-        assert_eq!(p.remote_impacts.len(), 4);
-        let victims: Vec<usize> = p.remote_impacts.iter().map(|i| i.core.0).collect();
+        let mut imps = Vec::new();
+        s.probe(CoreId(70), l, Access::Write, &mut imps);
+        assert_eq!(imps.len(), 4);
+        let victims: Vec<usize> = imps.iter().map(|i| i.core.0).collect();
         assert_eq!(victims, vec![0, 63, 64, 99], "ascending core-id order");
         s.apply(CoreId(70), l, Access::Write, TxTrack::Write)
             .unwrap();
@@ -1358,7 +1417,8 @@ mod tests {
         assert!(s.shard_lines_max() <= s.shard_lines());
         // A line in an untouched shard range is still classified correctly.
         assert_eq!(
-            s.probe(CoreId(1), LineAddr(500), Access::Read).served_by,
+            s.probe(CoreId(1), LineAddr(500), Access::Read, &mut Vec::new())
+                .served_by,
             ServedBy::Memory
         );
     }

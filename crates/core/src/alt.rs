@@ -140,11 +140,15 @@ impl Alt {
         }
     }
 
-    /// Marks `line` as Needs-Locking (CRT hit before an S-CL retry, §5).
-    /// No-op if the line is not in the table.
-    pub fn mark_needs_locking(&mut self, line: LineAddr) {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.line == line) {
-            e.needs_locking = true;
+    /// Sets the Needs-Locking bit of every entry whose line `pred`
+    /// accepts, calling `pred` once per entry in lock order — the S-CL
+    /// refresh from the CRT before a retry (§5.1), without collecting the
+    /// footprint first.
+    pub fn mark_needs_locking_if(&mut self, mut pred: impl FnMut(LineAddr) -> bool) {
+        for e in &mut self.entries {
+            if pred(e.line) {
+                e.needs_locking = true;
+            }
         }
     }
 
@@ -232,6 +236,11 @@ impl Alt {
     /// Empties the table for a new discovery.
     pub fn clear(&mut self) {
         self.entries.clear();
+    }
+
+    /// An empty table with the same capacity and lock order.
+    pub(crate) fn empty_like(&self) -> Alt {
+        Alt::new(self.capacity, self.dir)
     }
 }
 
@@ -333,8 +342,24 @@ mod tests {
         let mut a = alt(4);
         a.observe(LineAddr(5), false).unwrap();
         assert!(a.lock_list().is_empty());
-        a.mark_needs_locking(LineAddr(5));
+        a.mark_needs_locking_if(|l| l == LineAddr(5));
         assert_eq!(a.lock_list(), vec![LineAddr(5)]);
+    }
+
+    #[test]
+    fn predicate_marking_visits_lock_order_once() {
+        let mut a = alt(8);
+        for l in [9u64, 2, 5] {
+            a.observe(LineAddr(l), false).unwrap();
+        }
+        let mut visited = Vec::new();
+        a.mark_needs_locking_if(|l| {
+            visited.push(l);
+            l != LineAddr(5)
+        });
+        assert_eq!(visited, a.footprint());
+        visited.retain(|&l| l != LineAddr(5));
+        assert_eq!(a.lock_list(), visited);
     }
 
     #[test]

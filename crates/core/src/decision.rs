@@ -67,8 +67,7 @@ impl fmt::Display for RetryMode {
 ///     overflowed: false,
 ///     lockable: true,
 ///     immutable: false,
-///     footprint: vec![],
-///     written: vec![],
+///     footprint: 0,
 /// };
 /// assert_eq!(decide(&a), RetryMode::SCl);
 /// ```
@@ -91,8 +90,7 @@ mod tests {
             overflowed,
             lockable,
             immutable,
-            footprint: vec![],
-            written: vec![],
+            footprint: 0,
         }
     }
 

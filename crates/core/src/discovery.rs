@@ -57,7 +57,7 @@ impl fmt::Display for ObservedClass {
 }
 
 /// The verdict of a completed discovery, feeding the Fig. 2 decision tree.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DiscoveryAssessment {
     /// Assessment 1 — the AR overflowed the speculation window (ALT
     /// capacity, L1 footprint or SQ during failed mode). Non-convertible.
@@ -68,10 +68,9 @@ pub struct DiscoveryAssessment {
     /// Assessment 3 — no indirections and no dependent branches were
     /// observed: the footprint is immutable on a retry.
     pub immutable: bool,
-    /// The learned footprint in lock order (empty when overflowed).
-    pub footprint: Vec<LineAddr>,
-    /// The subset of the footprint that was written.
-    pub written: Vec<LineAddr>,
+    /// Lines in the learned footprint (the ALT's entries, themselves
+    /// readable through [`Discovery::alt`]).
+    pub footprint: usize,
 }
 
 impl DiscoveryAssessment {
@@ -123,6 +122,9 @@ pub struct Discovery {
     overflowed: bool,
     /// Stores retired while in failed mode (bounded by the SQ).
     stores_in_failed: u64,
+    /// Reused buffer holding the footprint for the lockability test of
+    /// [`Discovery::assess`].
+    lines: Vec<LineAddr>,
 }
 
 impl Discovery {
@@ -134,6 +136,7 @@ impl Discovery {
             has_indirection: false,
             overflowed: false,
             stores_in_failed: 0,
+            lines: Vec::new(),
         }
     }
 
@@ -166,9 +169,15 @@ impl Discovery {
         &self.alt
     }
 
-    /// Consumes discovery, yielding the populated ALT for the retry.
-    pub fn into_alt(self) -> Alt {
-        self.alt
+    /// Yields the populated ALT for the retry and keeps `spare` — a
+    /// retired table built with the same capacity and geometry, cleared
+    /// here — or else a new empty one for the next
+    /// [`rearm`](Discovery::rearm). A core that hands its retired ALTs
+    /// back this way learns every footprint without allocating.
+    pub fn swap_alt(&mut self, spare: Option<Alt>) -> Alt {
+        let mut next = spare.unwrap_or_else(|| self.alt.empty_like());
+        next.clear();
+        std::mem::replace(&mut self.alt, next)
     }
 
     /// `true` if [`Discovery::on_access`] for `line` would set the
@@ -213,25 +222,23 @@ impl Discovery {
     }
 
     /// Produces the final assessment. `fits_locked` is the coherence-layer
-    /// test that the footprint can be held locked simultaneously
-    /// (cache/directory conflict check, assessment 2).
-    pub fn assess<F>(&self, fits_locked: F) -> DiscoveryAssessment
+    /// test that the footprint, in lock order, can be held locked
+    /// simultaneously (cache/directory conflict check, assessment 2). The
+    /// footprint is handed over in a buffer the discovery reuses.
+    pub fn assess<F>(&mut self, fits_locked: F) -> DiscoveryAssessment
     where
         F: FnOnce(&[LineAddr]) -> bool,
     {
-        let footprint = self.alt.footprint();
-        let lockable = !self.overflowed && fits_locked(&footprint);
+        let lockable = !self.overflowed && {
+            self.lines.clear();
+            self.lines.extend(self.alt.iter().map(|e| e.line));
+            fits_locked(&self.lines)
+        };
         DiscoveryAssessment {
             overflowed: self.overflowed,
             lockable,
             immutable: !self.has_indirection,
-            written: self
-                .alt
-                .iter()
-                .filter(|e| e.needs_locking)
-                .map(|e| e.line)
-                .collect(),
-            footprint,
+            footprint: self.alt.len(),
         }
     }
 }
@@ -254,8 +261,14 @@ mod tests {
         assert!(!a.overflowed);
         assert!(a.lockable);
         assert!(a.immutable);
-        assert_eq!(a.footprint.len(), 2);
-        assert_eq!(a.written, vec![LineAddr(1)]);
+        assert_eq!(a.footprint, 2);
+        let written: Vec<LineAddr> = d
+            .alt()
+            .iter()
+            .filter(|e| e.needs_locking)
+            .map(|e| e.line)
+            .collect();
+        assert_eq!(written, vec![LineAddr(1)]);
     }
 
     #[test]
@@ -354,8 +367,7 @@ mod tests {
                         overflowed,
                         lockable,
                         immutable,
-                        footprint: vec![],
-                        written: vec![],
+                        footprint: 0,
                     };
                     let from_mode = ObservedClass::from_mode(decide(&a), immutable);
                     let exact = a.observed_class();
@@ -385,6 +397,43 @@ mod tests {
     }
 
     #[test]
+    fn assess_hands_the_lock_ordered_footprint_to_the_fit_test() {
+        let mut d = disc();
+        for l in [9u64, 2, 5] {
+            d.on_access(LineAddr(l), false, false);
+        }
+        let mut seen = Vec::new();
+        d.assess(|fp| {
+            seen = fp.to_vec();
+            true
+        });
+        assert_eq!(seen, d.alt().footprint());
+        // An overflowed discovery is not lockable and runs no fit test.
+        d.on_sq_overflow();
+        assert!(!d.assess(|_| panic!("no fit test once overflowed")).lockable);
+    }
+
+    #[test]
+    fn swap_alt_yields_the_learned_table_and_keeps_the_spare() {
+        let mut d = disc();
+        d.on_access(LineAddr(3), true, false);
+        let mut spare = Alt::new(
+            ClearConfig::default().alt_entries,
+            CacheGeometry::new(16, 4),
+        );
+        spare.observe(LineAddr(7), false).unwrap();
+        let learned = d.swap_alt(Some(spare));
+        assert_eq!(learned.footprint(), vec![LineAddr(3)]);
+        assert!(d.alt().is_empty(), "the spare is cleared");
+        d.rearm();
+        d.on_access(LineAddr(4), false, false);
+        assert_eq!(d.alt().footprint(), vec![LineAddr(4)]);
+        // Without a spare the discovery starts an empty table of its own.
+        assert_eq!(d.swap_alt(None).footprint(), vec![LineAddr(4)]);
+        assert!(d.alt().is_empty());
+    }
+
+    #[test]
     fn rearm_resets_everything() {
         let mut d = disc();
         d.on_access(LineAddr(1), true, true);
@@ -395,6 +444,6 @@ mod tests {
         assert!(!d.overflowed());
         let a = d.assess(|_| true);
         assert!(a.immutable);
-        assert!(a.footprint.is_empty());
+        assert_eq!(a.footprint, 0);
     }
 }

@@ -220,7 +220,7 @@ fn ttc_rows(registry: &MetricsRegistry, family: &str, label_key: &str) -> Vec<Js
                 let label = k
                     .labels
                     .iter()
-                    .find(|(name, _)| name == label_key)
+                    .find(|(name, _)| *name == label_key)
                     .map(|(_, value)| value.as_str())?;
                 Some(ttc_row(label_key, label, h))
             }

@@ -52,11 +52,17 @@ impl AbortKind {
         AbortKind::PlanViolation,
         AbortKind::Other,
     ];
-}
 
-impl fmt::Display for AbortKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// Position in [`AbortKind::ALL`]: lets per-kind counters live in a
+    /// plain array.
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
+    /// The kebab-case name (the [`Display`](fmt::Display) form and the
+    /// abort-cause metric label), without allocating.
+    pub const fn name(self) -> &'static str {
+        match self {
             AbortKind::MemoryConflict => "memory-conflict",
             AbortKind::ExplicitFallback => "explicit-fallback",
             AbortKind::OtherFallback => "other-fallback",
@@ -65,8 +71,13 @@ impl fmt::Display for AbortKind {
             AbortKind::Explicit => "explicit",
             AbortKind::PlanViolation => "plan-violation",
             AbortKind::Other => "other",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for AbortKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -95,6 +106,13 @@ mod tests {
         let mut v = AbortKind::ALL.to_vec();
         v.dedup();
         assert_eq!(v.len(), 8);
+    }
+
+    #[test]
+    fn index_is_position_in_all() {
+        for (i, kind) in AbortKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.index(), i, "{kind}");
+        }
     }
 
     #[test]

@@ -13,8 +13,10 @@ impl Machine {
                     // Acquiring the lock writes its line, aborting every
                     // subscribed speculative AR through conflict detection.
                     let line = self.fallback.line();
-                    let impacts = self.force_apply(c, line, Access::Write, TxTrack::None);
+                    let mut impacts = std::mem::take(&mut self.scratch_impacts);
+                    self.force_apply(c, line, Access::Write, TxTrack::None, &mut impacts);
                     self.abort_victims(c, line, &impacts, AbortKind::OtherFallback);
+                    self.scratch_impacts = impacts;
                     self.arm_vm(c);
                     self.cores[c].mode = ExecMode::Fallback;
                     self.cores[c].attempt_started_at = self.clocks[c];
@@ -54,12 +56,7 @@ impl Machine {
                     let alt = core.alt.as_mut().expect("CL mode requires ALT");
                     alt.reset_lock_state();
                     if mode == ExecMode::SCl {
-                        let lines: Vec<LineAddr> = alt.footprint();
-                        for l in lines {
-                            if core.crt.take(l) {
-                                alt.mark_needs_locking(l);
-                            }
-                        }
+                        alt.mark_needs_locking_if(|l| core.crt.take(l));
                     }
                     alt.lock_list_into(&mut lock_list);
                 }
@@ -112,22 +109,21 @@ impl Machine {
                 );
                 // Subscribe to the fallback lock line (read set).
                 let line = self.fallback.line();
-                let impacts = self.force_apply(c, line, Access::Read, TxTrack::Read);
+                let mut impacts = std::mem::take(&mut self.scratch_impacts);
+                self.force_apply(c, line, Access::Read, TxTrack::Read, &mut impacts);
                 debug_assert!(impacts.iter().all(|i| !i.is_tx_conflict(false)));
+                self.scratch_impacts = impacts;
                 // Arm discovery unless the ERT forbids it.
-                if self.clear_enabled() {
+                let enabled = self.clear_enabled() && {
                     let ar = self.cores[c].inv.as_ref().unwrap().ar.0;
-                    let enabled = self.cores[c].ert.entry(ar).discovery_enabled();
-                    if enabled {
-                        let cc = *self.backend.clear().expect("clear_enabled implies config");
-                        let mut d = Discovery::new(&cc, self.coherence.dir_geometry());
-                        d.rearm();
-                        self.cores[c].discovery = Some(d);
-                    } else {
-                        self.cores[c].discovery = None;
-                    }
+                    self.cores[c].ert.entry(ar).discovery_enabled()
+                };
+                if enabled {
+                    let cc = *self.backend.clear().expect("clear_enabled implies config");
+                    let dir = self.coherence.dir_geometry();
+                    self.cores[c].arm_discovery(&cc, dir);
                 } else {
-                    self.cores[c].discovery = None;
+                    self.cores[c].disarm_discovery();
                 }
                 self.phases[c] = Phase::Running;
                 self.clocks[c] += self.config.timing.xbegin_cost;
@@ -162,7 +158,7 @@ impl Machine {
         self.cores[c].sq.clear();
         self.cores[c].pending = None;
         self.cores[c].held_abort = None;
-        self.cores[c].discovery = None;
+        self.cores[c].disarm_discovery();
         self.coherence.clear_tx(CoreId(c));
         self.release_lines(c);
         self.release_fallback_read(c);
@@ -186,7 +182,7 @@ impl Machine {
                 self.cores[c].ert.entry(ar).is_convertible = false;
             }
             self.cores[c].planned = RetryMode::SpeculativeRetry;
-            self.cores[c].alt = None;
+            self.cores[c].retire_alt();
         }
 
         if kind.counts_toward_retry_limit() {
@@ -243,7 +239,7 @@ impl Machine {
             .take()
             .unwrap_or(AbortKind::MemoryConflict);
         let discovery = self.cores[c].discovery.take();
-        if let Some(d) = discovery {
+        if let Some(mut d) = discovery {
             let assessment = d.assess(|fp| self.coherence.fits_locked(fp));
             let ar = self.cores[c].inv.as_ref().unwrap().ar.0;
             {
@@ -258,20 +254,20 @@ impl Machine {
                 TraceEvent::Decision {
                     ar: clear_isa::ArId(ar),
                     mode,
-                    footprint: assessment.footprint.len(),
+                    footprint: assessment.footprint,
                     immutable: assessment.immutable,
                 },
             );
             match mode {
                 RetryMode::NsCl => {
-                    let mut alt = d.into_alt();
+                    let mut alt = self.cores[c].adopt_learned_alt(&mut d);
                     alt.mark_all_needs_locking();
                     self.cores[c].alt = Some(alt);
                     self.cores[c].planned = RetryMode::NsCl;
                     self.cores[c].plan_nscl = false;
                 }
                 RetryMode::SCl => {
-                    let mut alt = d.into_alt();
+                    let mut alt = self.cores[c].adopt_learned_alt(&mut d);
                     // The paper's choice locks the write set plus CRT reads
                     // (added at attempt start); the rejected "lock all"
                     // alternative is kept as an ablation (§4.4.2).
@@ -295,9 +291,10 @@ impl Machine {
                 }
                 _ => {
                     self.cores[c].planned = RetryMode::SpeculativeRetry;
-                    self.cores[c].alt = None;
+                    self.cores[c].retire_alt();
                 }
             }
+            self.cores[c].spare_discovery = Some(d);
         }
         self.perform_abort(c, kind);
     }
@@ -356,8 +353,8 @@ impl Machine {
         }
         self.metrics_on_commit(c, mode.commit_bucket());
         let core = &mut self.cores[c];
-        core.discovery = None;
-        core.alt = None;
+        core.disarm_discovery();
+        core.retire_alt();
         core.inv = None;
         core.vm = None;
         core.plan_nscl = false;
@@ -379,7 +376,7 @@ impl Machine {
                 .unwrap_or(AbortKind::Capacity);
             self.perform_abort(c, kind);
         } else {
-            self.cores[c].discovery = None;
+            self.cores[c].disarm_discovery();
         }
     }
 }

@@ -205,10 +205,11 @@ impl Machine {
         let hit = self.coherence.is_unlocked_l1_hit(CoreId(c), line, access);
         #[cfg(debug_assertions)]
         {
-            let p = self.coherence.probe(CoreId(c), line, access);
+            let mut impacts = Vec::new();
+            let p = self.coherence.probe(CoreId(c), line, access, &mut impacts);
             let probed = p.locked_by_other.is_none()
                 && p.served_by == clear_coherence::ServedBy::L1
-                && p.remote_impacts.is_empty();
+                && impacts.is_empty();
             debug_assert_eq!(hit, probed, "cheap L1-hit check disagrees with probe");
         }
         hit.then(|| LocalStep::Exec {

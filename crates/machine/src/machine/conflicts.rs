@@ -4,18 +4,24 @@
 use super::*;
 
 impl Machine {
+    /// Probes and applies an access the caller has routed away from
+    /// foreign locks. On success `impacts` holds the remote copies it
+    /// stole; when the line cannot be installed the access bypasses the L1
+    /// and `impacts` is emptied.
     pub(super) fn force_apply(
         &mut self,
         c: usize,
         line: LineAddr,
         access: Access,
         tx: TxTrack,
-    ) -> Vec<RemoteImpact> {
-        match self.coherence.apply(CoreId(c), line, access, tx) {
-            Ok(ok) => {
-                self.clocks[c] += ok.latency;
-                ok.remote_impacts
-            }
+        impacts: &mut Vec<RemoteImpact>,
+    ) {
+        let probe = self.coherence.probe(CoreId(c), line, access, impacts);
+        match self
+            .coherence
+            .apply_probed(CoreId(c), line, access, tx, probe, impacts)
+        {
+            Ok(ok) => self.clocks[c] += ok.latency,
             Err(LockFail::Capacity) => {
                 // The line could not be installed together with existing
                 // pinned lines. For non-transactional accesses we model the
@@ -23,10 +29,28 @@ impl Machine {
                 // conflict because the impacted copies were already handled
                 // by probe-time policy. Charge memory latency.
                 self.clocks[c] += self.config.coherence.lat_mem;
-                Vec::new()
+                impacts.clear();
             }
             Err(LockFail::LockedBy(_)) => unreachable!("caller routed locked lines"),
         }
+    }
+
+    /// Collects the transactions among `impacts` that conflict with core
+    /// `c`'s access into the reused victim list and asks the backend
+    /// whether `c` is NACKed.
+    pub(super) fn nacked_by(&mut self, c: usize, impacts: &[RemoteImpact], writes: bool) -> bool {
+        let mut victims = std::mem::take(&mut self.scratch_victims);
+        victims.clear();
+        for i in impacts.iter().filter(|i| i.is_tx_conflict(writes)) {
+            victims.push(self.tx_info(i.core.0));
+        }
+        let nacked = !victims.is_empty() && {
+            self.perf.allocs_avoided += 1;
+            let me = self.tx_info(c);
+            self.backend.resolve(me, &victims) == Resolution::NackRequester
+        };
+        self.scratch_victims = victims;
+        nacked
     }
 
     /// Aborts every victim whose transactional copy was stolen.
@@ -126,7 +150,8 @@ impl Machine {
                         e.is_convertible = true;
                         e.is_immutable = true;
                     }
-                    core.discovery = None;
+                    core.disarm_discovery();
+                    core.retire_alt();
                     core.alt = Some(alt);
                     core.planned = RetryMode::NsCl;
                     core.plan_nscl = true;

@@ -13,8 +13,8 @@ impl Machine {
         // together (§5): entries are lex-sorted, so a group is a maximal
         // consecutive run with one set index.
         let dir = self.coherence.dir_geometry();
-        // The group and victim lists reuse per-machine scratch buffers; both
-        // are restored before every exit from this function.
+        // The group, impact and victim lists reuse per-machine scratch
+        // buffers; all are restored before every exit from this function.
         let mut group = std::mem::take(&mut self.scratch_group);
         group.clear();
         {
@@ -30,22 +30,21 @@ impl Machine {
         self.perf.allocs_avoided += 1;
 
         // Policy check over the whole group before stealing anything.
+        let mut impacts = std::mem::take(&mut self.scratch_impacts);
         let mut victims = std::mem::take(&mut self.scratch_victims);
         victims.clear();
         let mut spin = false;
         for &line in &group {
-            let probe = self.coherence.probe(CoreId(c), line, Access::Write);
+            let probe = self
+                .coherence
+                .probe(CoreId(c), line, Access::Write, &mut impacts);
             if probe.locked_by_other.is_some() {
                 // Another core holds a group line locked: retried request
                 // (Fig. 6).
                 spin = true;
                 break;
             }
-            for i in probe
-                .remote_impacts
-                .iter()
-                .filter(|i| i.is_tx_conflict(true))
-            {
+            for i in impacts.iter().filter(|i| i.is_tx_conflict(true)) {
                 victims.push(self.tx_info(i.core.0));
             }
         }
@@ -55,14 +54,14 @@ impl Machine {
             self.backend.resolve(me, &victims) == Resolution::NackRequester
         };
         self.scratch_victims = victims;
-        if spin {
-            self.poll_failed(c, Wait::Line);
+        if spin || nacked {
+            self.scratch_impacts = impacts;
             self.scratch_group = group;
-            return;
-        }
-        if nacked {
-            self.perform_abort(c, AbortKind::Nacked);
-            self.scratch_group = group;
+            if spin {
+                self.poll_failed(c, Wait::Line);
+            } else {
+                self.perform_abort(c, AbortKind::Nacked);
+            }
             return;
         }
         // Record the ALT Hit bits (group-locking probe of §5).
@@ -73,14 +72,13 @@ impl Machine {
             }
         }
         let result = if group.len() == 1 {
-            self.coherence.lock_line(CoreId(c), group[0])
+            self.coherence.lock_line(CoreId(c), group[0], &mut impacts)
         } else {
-            self.coherence.lock_group(CoreId(c), &group)
+            self.coherence.lock_group(CoreId(c), &group, &mut impacts)
         };
         match result {
             Ok(ok) => {
                 self.clocks[c] += ok.latency;
-                let impacts = ok.remote_impacts;
                 // The accumulated spin wait paid for the whole group; it is
                 // attributed to the group's first lock to keep per-line
                 // totals additive.
@@ -110,10 +108,11 @@ impl Machine {
                 // Should not happen (discovery verified the fit); treat as a
                 // capacity abort and fall back to a speculative retry.
                 self.cores[c].planned = RetryMode::SpeculativeRetry;
-                self.cores[c].alt = None;
+                self.cores[c].retire_alt();
                 self.perform_abort(c, AbortKind::Capacity);
             }
         }
+        self.scratch_impacts = impacts;
         self.scratch_group = group;
     }
 }

@@ -48,9 +48,9 @@ impl Machine {
                 {
                     let ar = self.cores[c].inv.as_ref().unwrap().ar.0;
                     self.cores[c].ert.entry(ar).is_convertible = false;
-                    self.cores[c].discovery = None;
+                    self.cores[c].disarm_discovery();
                     self.cores[c].planned = RetryMode::SpeculativeRetry;
-                    self.cores[c].alt = None;
+                    self.cores[c].retire_alt();
                     let kind = self.cores[c]
                         .held_abort
                         .take()
@@ -212,8 +212,12 @@ impl Machine {
                 if mode == ExecMode::Speculative && !self.lrws_track(c, line, false) {
                     return;
                 }
-                let probe = self.coherence.probe(CoreId(c), line, Access::Read);
+                let mut impacts = std::mem::take(&mut self.scratch_impacts);
+                let probe = self
+                    .coherence
+                    .probe(CoreId(c), line, Access::Read, &mut impacts);
                 if let Some(_holder) = probe.locked_by_other {
+                    self.scratch_impacts = impacts;
                     if mode == ExecMode::SCl {
                         // Non-locking S-CL load reaching a locked line is
                         // NACKed and aborts (§4.4.2, Fig. 5).
@@ -226,29 +230,11 @@ impl Machine {
                     }
                     return;
                 }
-                // Collect conflicting victims into the reused scratch list.
-                let mut victims = std::mem::take(&mut self.scratch_victims);
-                victims.clear();
-                for i in probe
-                    .remote_impacts
-                    .iter()
-                    .filter(|i| i.is_tx_conflict(false))
-                {
-                    victims.push(self.tx_info(i.core.0));
-                }
-                let nacked = !victims.is_empty() && {
-                    self.perf.allocs_avoided += 1;
-                    let me = self.tx_info(c);
-                    self.backend.resolve(me, &victims) == Resolution::NackRequester
-                };
-                self.scratch_victims = victims;
-                if nacked {
-                    if mode == ExecMode::Fallback {
-                        // Fallback cannot abort; force through.
-                    } else {
-                        self.perform_abort(c, AbortKind::Nacked);
-                        return;
-                    }
+                // Fallback cannot abort: a NACK forces it through.
+                if self.nacked_by(c, &impacts, false) && mode != ExecMode::Fallback {
+                    self.scratch_impacts = impacts;
+                    self.perform_abort(c, AbortKind::Nacked);
+                    return;
                 }
                 let tx = if mode == ExecMode::Fallback {
                     TxTrack::None
@@ -257,21 +243,23 @@ impl Machine {
                 };
                 // Coherence state is unchanged since the probe, so the
                 // apply can consume it instead of re-probing.
-                match self
-                    .coherence
-                    .apply_probed(CoreId(c), line, Access::Read, tx, probe)
-                {
+                match self.coherence.apply_probed(
+                    CoreId(c),
+                    line,
+                    Access::Read,
+                    tx,
+                    probe,
+                    &impacts,
+                ) {
                     Ok(ok) => {
                         self.clocks[c] += ok.latency;
                         // Read conflicts: remote write-set holders abort.
-                        // Filtered in place — the apply result is consumed,
-                        // not copied.
-                        let mut conflicts = ok.remote_impacts;
-                        if !conflicts.is_empty() {
+                        // Filtered in place in the reused impact buffer.
+                        if !impacts.is_empty() {
                             self.perf.allocs_avoided += 1;
-                            conflicts.retain(|i| i.is_tx_conflict(false));
+                            impacts.retain(|i| i.is_tx_conflict(false));
                         }
-                        self.abort_victims(c, line, &conflicts, AbortKind::MemoryConflict);
+                        self.abort_victims(c, line, &impacts, AbortKind::MemoryConflict);
                         let v = self.memory.load_word(addr);
                         self.cores[c].vm.as_mut().unwrap().finish_load(v);
                     }
@@ -287,6 +275,7 @@ impl Machine {
                     }
                     Err(LockFail::LockedBy(_)) => unreachable!(),
                 }
+                self.scratch_impacts = impacts;
             }
         }
     }
@@ -328,8 +317,11 @@ impl Machine {
 
         match self.cores[c].mode {
             ExecMode::Fallback => {
-                let probe = self.coherence.probe(CoreId(c), line, Access::Write);
-                if probe.locked_by_other.is_some() {
+                if self
+                    .coherence
+                    .locked_by(line)
+                    .is_some_and(|h| h != CoreId(c))
+                {
                     self.cores[c].pending = Some(PendingOp::Store {
                         addr,
                         value,
@@ -339,12 +331,14 @@ impl Machine {
                     self.stats.pending_stall_cycles += self.config.timing.spin_interval;
                     return;
                 }
-                let mut conflicts = self.force_apply(c, line, Access::Write, TxTrack::None);
-                if !conflicts.is_empty() {
+                let mut impacts = std::mem::take(&mut self.scratch_impacts);
+                self.force_apply(c, line, Access::Write, TxTrack::None, &mut impacts);
+                if !impacts.is_empty() {
                     self.perf.allocs_avoided += 1;
-                    conflicts.retain(|i| i.is_tx_conflict(true));
+                    impacts.retain(|i| i.is_tx_conflict(true));
                 }
-                self.abort_victims(c, line, &conflicts, AbortKind::MemoryConflict);
+                self.abort_victims(c, line, &impacts, AbortKind::MemoryConflict);
+                self.scratch_impacts = impacts;
                 self.memory.store_word(addr, value);
             }
             ExecMode::NsCl if self.cores[c].plan_nscl => {
@@ -388,8 +382,12 @@ impl Machine {
                 if mode == ExecMode::Speculative && !self.lrws_track(c, line, true) {
                     return;
                 }
-                let probe = self.coherence.probe(CoreId(c), line, Access::Write);
+                let mut impacts = std::mem::take(&mut self.scratch_impacts);
+                let probe = self
+                    .coherence
+                    .probe(CoreId(c), line, Access::Write, &mut impacts);
                 if let Some(_holder) = probe.locked_by_other {
+                    self.scratch_impacts = impacts;
                     if mode == ExecMode::SCl {
                         self.perform_abort(c, AbortKind::Nacked);
                     } else {
@@ -403,23 +401,8 @@ impl Machine {
                     }
                     return;
                 }
-                // Collect conflicting victims into the reused scratch list.
-                let mut victims = std::mem::take(&mut self.scratch_victims);
-                victims.clear();
-                for i in probe
-                    .remote_impacts
-                    .iter()
-                    .filter(|i| i.is_tx_conflict(true))
-                {
-                    victims.push(self.tx_info(i.core.0));
-                }
-                let nacked = !victims.is_empty() && {
-                    self.perf.allocs_avoided += 1;
-                    let me = self.tx_info(c);
-                    self.backend.resolve(me, &victims) == Resolution::NackRequester
-                };
-                self.scratch_victims = victims;
-                if nacked {
+                if self.nacked_by(c, &impacts, true) {
+                    self.scratch_impacts = impacts;
                     self.perform_abort(c, AbortKind::Nacked);
                     return;
                 }
@@ -431,15 +414,15 @@ impl Machine {
                     Access::Write,
                     TxTrack::Write,
                     probe,
+                    &impacts,
                 ) {
                     Ok(ok) => {
                         self.clocks[c] += ok.latency;
-                        let mut conflicts = ok.remote_impacts;
-                        if !conflicts.is_empty() {
+                        if !impacts.is_empty() {
                             self.perf.allocs_avoided += 1;
-                            conflicts.retain(|i| i.is_tx_conflict(true));
+                            impacts.retain(|i| i.is_tx_conflict(true));
                         }
-                        self.abort_victims(c, line, &conflicts, AbortKind::MemoryConflict);
+                        self.abort_victims(c, line, &impacts, AbortKind::MemoryConflict);
                         self.cores[c].sq.insert(addr.0, value);
                     }
                     Err(LockFail::Capacity) => {
@@ -447,6 +430,7 @@ impl Machine {
                     }
                     Err(LockFail::LockedBy(_)) => unreachable!(),
                 }
+                self.scratch_impacts = impacts;
             }
         }
     }

@@ -103,11 +103,18 @@ struct Core {
     sq: FxHashMap<u64, u64>,
     /// Abort held while failed-mode discovery continues (§4.1).
     held_abort: Option<AbortKind>,
+    /// The armed discovery of the current speculative attempt.
     discovery: Option<Discovery>,
+    /// A disarmed discovery kept for its buffers: the next attempt re-arms
+    /// it instead of allocating a fresh one.
+    spare_discovery: Option<Discovery>,
     /// Mode chosen for the next attempt.
     planned: RetryMode,
     /// Learned footprint for CL-mode retries.
     alt: Option<Alt>,
+    /// A retired ALT kept for its storage: the next discovery decision
+    /// swaps it in for the learned one (see [`Discovery::swap_alt`]).
+    spare_alt: Option<Alt>,
     lock_list: Vec<LineAddr>,
     retries_counted: u32,
     retries_total: u32,
@@ -155,8 +162,10 @@ impl Core {
             sq: FxHashMap::default(),
             held_abort: None,
             discovery: None,
+            spare_discovery: None,
             planned: RetryMode::SpeculativeRetry,
             alt: None,
+            spare_alt: None,
             lock_list: Vec::new(),
             retries_counted: 0,
             retries_total: 0,
@@ -174,6 +183,38 @@ impl Core {
             plan_roots: Vec::new(),
             plan_root_dirty: false,
         }
+    }
+
+    /// Arms a discovery for a speculative attempt, re-arming the spare one
+    /// when there is one.
+    fn arm_discovery(&mut self, cc: &clear_core::ClearConfig, dir: clear_mem::CacheGeometry) {
+        let mut d = self
+            .spare_discovery
+            .take()
+            .unwrap_or_else(|| Discovery::new(cc, dir));
+        d.rearm();
+        self.discovery = Some(d);
+    }
+
+    /// Disarms the current discovery, keeping it as the spare.
+    fn disarm_discovery(&mut self) {
+        if let Some(d) = self.discovery.take() {
+            self.spare_discovery = Some(d);
+        }
+    }
+
+    /// Drops the CL-mode footprint, keeping its storage as the spare ALT.
+    fn retire_alt(&mut self) {
+        if let Some(alt) = self.alt.take() {
+            self.spare_alt = Some(alt);
+        }
+    }
+
+    /// Takes the ALT `d` learned for a CL retry, handing `d` the spare
+    /// table (after retiring the current one) for its next arming.
+    fn adopt_learned_alt(&mut self, d: &mut Discovery) -> Alt {
+        self.retire_alt();
+        d.swap_alt(self.spare_alt.take())
     }
 }
 
@@ -235,8 +276,10 @@ pub struct Machine {
     /// ARs whose static plan tripped the NS-CL guard: the fast path is
     /// disabled for them for the rest of the run.
     poisoned_plans: FxHashSet<u32>,
-    /// Reused buffers for per-access/per-lock victim collection and lock
-    /// groups; taken, filled, and put back on the hot path.
+    /// Reused buffers for per-access/per-lock remote impacts, victim
+    /// collection and lock groups; taken, filled, and put back on the hot
+    /// path.
+    scratch_impacts: Vec<RemoteImpact>,
     scratch_victims: Vec<TxInfo>,
     scratch_group: Vec<LineAddr>,
     /// Reused buffers of batch formation: the tied-set walk's frontier and
@@ -310,6 +353,7 @@ impl Machine {
             perf: PerfCounters::default(),
             metrics: None,
             poisoned_plans: FxHashSet::default(),
+            scratch_impacts: Vec::new(),
             scratch_victims: Vec::new(),
             scratch_group: Vec::new(),
             scratch_frontier: Vec::new(),
@@ -596,7 +640,7 @@ impl Machine {
                     core.plan_nscl = true;
                 } else {
                     core.planned = RetryMode::SpeculativeRetry;
-                    core.alt = None;
+                    core.retire_alt();
                     core.plan_nscl = false;
                 }
                 core.plan_roots = plan_roots;

@@ -92,7 +92,7 @@ impl Machine {
         let core = &mut self.cores[c];
         core.plan_nscl = false;
         core.planned = RetryMode::SpeculativeRetry;
-        core.alt = None;
+        core.retire_alt();
         self.perform_abort(c, AbortKind::PlanViolation);
     }
 }

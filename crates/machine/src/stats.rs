@@ -5,6 +5,7 @@ use clear_coherence::CoherenceStats;
 use clear_core::RetryMode;
 use clear_htm::AbortKind;
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// Commit counters broken down by execution mode (Fig. 12).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -36,26 +37,52 @@ impl ModeCommits {
     }
 }
 
-/// Abort counters by kind (Fig. 11).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// Abort counters by kind (Fig. 11), indexed by [`AbortKind::index`].
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct AbortCounts {
-    counts: BTreeMap<String, u64>,
+    counts: [u64; AbortKind::ALL.len()],
 }
 
 impl AbortCounts {
     /// Increments the counter for `kind`.
     pub fn record(&mut self, kind: AbortKind) {
-        *self.counts.entry(kind.to_string()).or_insert(0) += 1;
+        self.counts[kind.index()] += 1;
     }
 
     /// Count for `kind`.
     pub fn get(&self, kind: AbortKind) -> u64 {
-        self.counts.get(&kind.to_string()).copied().unwrap_or(0)
+        self.counts[kind.index()]
     }
 
     /// Total aborts.
     pub fn total(&self) -> u64 {
-        self.counts.values().sum()
+        self.counts.iter().sum()
+    }
+}
+
+/// Renders as the name-keyed map the counters once were —
+/// `AbortCounts { counts: {"capacity": 1, "memory-conflict": 2} }`: only
+/// recorded kinds, sorted by name. Pinned run-stats dumps depend on it.
+impl fmt::Debug for AbortCounts {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct ByName<'a>(&'a AbortCounts);
+        impl fmt::Debug for ByName<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let mut kinds = AbortKind::ALL;
+                kinds.sort_unstable_by_key(|k| k.name());
+                f.debug_map()
+                    .entries(
+                        kinds
+                            .into_iter()
+                            .map(|k| (k.name(), self.0.get(k)))
+                            .filter(|&(_, n)| n > 0),
+                    )
+                    .finish()
+            }
+        }
+        f.debug_struct("AbortCounts")
+            .field("counts", &ByName(self))
+            .finish()
     }
 }
 
@@ -228,6 +255,38 @@ mod tests {
         assert_eq!(a.get(AbortKind::Capacity), 1);
         assert_eq!(a.get(AbortKind::Explicit), 0);
         assert_eq!(a.total(), 3);
+    }
+
+    #[test]
+    fn abort_counts_debug_matches_name_keyed_map() {
+        // The former representation: a `BTreeMap<String, u64>` holding
+        // every recorded kind. Check every subset of kinds, both layouts.
+        for subset in 0u32..1 << AbortKind::ALL.len() {
+            let mut counts = AbortCounts::default();
+            let mut map: BTreeMap<String, u64> = BTreeMap::new();
+            for (i, kind) in AbortKind::ALL.into_iter().enumerate() {
+                if subset & (1 << i) != 0 {
+                    for _ in 0..=i {
+                        counts.record(kind);
+                        *map.entry(kind.to_string()).or_insert(0) += 1;
+                    }
+                }
+            }
+            assert_eq!(
+                format!("{counts:?}"),
+                format!("AbortCounts {{ counts: {map:?} }}"),
+                "subset {subset:#b}"
+            );
+            assert_eq!(
+                format!("{counts:#?}"),
+                format!(
+                    "AbortCounts {{\n    counts: {},\n}}",
+                    format!("{map:#?}").replace('\n', "\n    ")
+                ),
+                "subset {subset:#b}"
+            );
+            assert_eq!(counts.total(), map.values().sum::<u64>());
+        }
     }
 
     #[test]

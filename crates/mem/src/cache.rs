@@ -343,19 +343,22 @@ impl<T> SetAssocCache<T> {
     /// Checks whether a *set of lines* can be resident simultaneously:
     /// i.e., no set receives more lines than it has ways. This is the
     /// discovery-phase lockability test of §4.1 (assessment 2).
-    pub fn fits_simultaneously<I>(geometry: CacheGeometry, lines: I) -> bool
-    where
-        I: IntoIterator<Item = LineAddr>,
-    {
-        let mut counts = vec![0usize; geometry.sets];
-        for l in lines {
-            let s = geometry.set_index(l);
-            counts[s] += 1;
-            if counts[s] > geometry.ways {
-                return false;
-            }
+    ///
+    /// Allocation-free: a footprint no longer than the associativity fits
+    /// outright; otherwise each line counts its set's earlier lines, which
+    /// is quadratic in the footprint but footprints are ALT-bounded.
+    pub fn fits_simultaneously(geometry: CacheGeometry, lines: &[LineAddr]) -> bool {
+        if lines.len() <= geometry.ways {
+            return true;
         }
-        true
+        lines.iter().enumerate().all(|(i, &l)| {
+            let set = geometry.set_index(l);
+            let earlier = lines[..i]
+                .iter()
+                .filter(|&&e| geometry.set_index(e) == set)
+                .count();
+            earlier < geometry.ways
+        })
     }
 }
 
@@ -443,11 +446,11 @@ mod tests {
         // 0, 2, 4 map to set 0: three lines in a 2-way set do not fit.
         assert!(!SetAssocCache::<()>::fits_simultaneously(
             g,
-            [LineAddr(0), LineAddr(2), LineAddr(4)]
+            &[LineAddr(0), LineAddr(2), LineAddr(4)]
         ));
         assert!(SetAssocCache::<()>::fits_simultaneously(
             g,
-            [LineAddr(0), LineAddr(2), LineAddr(1), LineAddr(3)]
+            &[LineAddr(0), LineAddr(2), LineAddr(1), LineAddr(3)]
         ));
     }
 

@@ -7,6 +7,11 @@ use std::collections::BTreeMap;
 
 /// Identity of one time series: a family name plus sorted label pairs.
 ///
+/// Family and label names are the registry's schema (see
+/// [`families`](crate::families)), so they are `&'static str`; only label
+/// values are data. A new series therefore allocates its label list and
+/// one string per label value, nothing for the names.
+///
 /// Labels are sorted at construction so `{a="1", b="2"}` and
 /// `{b="2", a="1"}` address the same series, and the registry's `BTreeMap`
 /// ordering (family name first, then labels) is the canonical iteration
@@ -14,23 +19,18 @@ use std::collections::BTreeMap;
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct MetricKey {
     /// Family name (e.g. `clear_aborts_total`).
-    pub name: String,
+    pub name: &'static str,
     /// Sorted `(label, value)` pairs.
-    pub labels: Vec<(String, String)>,
+    pub labels: Vec<(&'static str, String)>,
 }
 
 impl MetricKey {
     /// Builds a key, sorting the label pairs.
-    pub fn new(name: &str, labels: &[(&str, &str)]) -> Self {
-        let mut labels: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
+    pub fn new(name: &'static str, labels: &[(&'static str, &str)]) -> Self {
+        let mut labels: Vec<(&'static str, String)> =
+            labels.iter().map(|&(k, v)| (k, v.to_string())).collect();
         labels.sort();
-        MetricKey {
-            name: name.to_string(),
-            labels,
-        }
+        MetricKey { name, labels }
     }
 }
 
@@ -76,7 +76,7 @@ impl MetricsRegistry {
     /// # Panics
     ///
     /// Panics if the series exists with a non-counter kind.
-    pub fn inc(&mut self, name: &str, labels: &[(&str, &str)], delta: u64) {
+    pub fn inc(&mut self, name: &'static str, labels: &[(&'static str, &str)], delta: u64) {
         match self
             .series
             .entry(MetricKey::new(name, labels))
@@ -92,7 +92,7 @@ impl MetricsRegistry {
     /// # Panics
     ///
     /// Panics if the series exists with a non-gauge kind.
-    pub fn set_gauge(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
+    pub fn set_gauge(&mut self, name: &'static str, labels: &[(&'static str, &str)], value: u64) {
         match self
             .series
             .entry(MetricKey::new(name, labels))
@@ -108,7 +108,7 @@ impl MetricsRegistry {
     /// # Panics
     ///
     /// Panics if the series exists with a non-histogram kind.
-    pub fn observe(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
+    pub fn observe(&mut self, name: &'static str, labels: &[(&'static str, &str)], value: u64) {
         match self
             .series
             .entry(MetricKey::new(name, labels))
@@ -119,13 +119,38 @@ impl MetricsRegistry {
         }
     }
 
+    /// Merges a whole histogram into a series, creating it on first use:
+    /// the same result as [`observe`](Self::observe) of every sample `hist`
+    /// holds, in one key lookup. Callers that fold samples into typed
+    /// state write it here once instead of paying a keyed lookup per
+    /// sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the series exists with a non-histogram kind.
+    pub fn merge_hist(
+        &mut self,
+        name: &'static str,
+        labels: &[(&'static str, &str)],
+        hist: &Log2Hist,
+    ) {
+        match self
+            .series
+            .entry(MetricKey::new(name, labels))
+            .or_insert_with(|| MetricValue::Hist(Log2Hist::new()))
+        {
+            MetricValue::Hist(h) => h.merge(hist),
+            other => panic!("{name}: histogram op on {other:?}"),
+        }
+    }
+
     /// Looks up a series.
-    pub fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<&MetricValue> {
+    pub fn get(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Option<&MetricValue> {
         self.series.get(&MetricKey::new(name, labels))
     }
 
     /// The histogram of a series, if it exists and is one.
-    pub fn hist(&self, name: &str, labels: &[(&str, &str)]) -> Option<&Log2Hist> {
+    pub fn hist(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Option<&Log2Hist> {
         match self.get(name, labels) {
             Some(MetricValue::Hist(h)) => Some(h),
             _ => None,
@@ -141,16 +166,16 @@ impl MetricsRegistry {
     /// Panics if the two registries hold the same key with different kinds.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (key, value) in &other.series {
-            match self.series.entry(key.clone()) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(value.clone());
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => match (e.get_mut(), value) {
-                    (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += b,
-                    (MetricValue::Gauge(a), MetricValue::Gauge(b)) => *a += b,
-                    (MetricValue::Hist(a), MetricValue::Hist(b)) => a.merge(b),
-                    (a, b) => panic!("{}: kind mismatch on merge: {a:?} vs {b:?}", key.name),
-                },
+            // Look the key up first: it is cloned only for a new series.
+            let Some(mine) = self.series.get_mut(key) else {
+                self.series.insert(key.clone(), value.clone());
+                continue;
+            };
+            match (mine, value) {
+                (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += b,
+                (MetricValue::Gauge(a), MetricValue::Gauge(b)) => *a += b,
+                (MetricValue::Hist(a), MetricValue::Hist(b)) => a.merge(b),
+                (a, b) => panic!("{}: kind mismatch on merge: {a:?} vs {b:?}", key.name),
             }
         }
     }
@@ -177,8 +202,12 @@ impl MetricsRegistry {
                 .series
                 .iter()
                 .map(|(k, v)| SeriesSnapshot {
-                    name: k.name.clone(),
-                    labels: k.labels.clone(),
+                    name: k.name.to_string(),
+                    labels: k
+                        .labels
+                        .iter()
+                        .map(|(l, v)| (l.to_string(), v.clone()))
+                        .collect(),
                     value: v.clone(),
                 })
                 .collect(),
@@ -260,6 +289,37 @@ mod tests {
         assert_eq!(names[0].1[0].1, "1");
         assert_eq!(names[1].1[0].1, "2");
         assert_eq!(names[2].0, "z");
+    }
+
+    #[test]
+    fn merged_hist_equals_observing_each_sample() {
+        let samples: Vec<u64> = (0..500u64)
+            .map(|i| (i * 0x9e37_79b9) % 100_003)
+            .chain([0, 1, u64::MAX])
+            .collect();
+        let mut folded = Log2Hist::new();
+        let mut observed = MetricsRegistry::new();
+        for &v in &samples {
+            folded.observe(v);
+            observed.observe("h", &[("mode", "scl"), ("backend", "clear")], v);
+        }
+        let mut merged = MetricsRegistry::new();
+        merged.merge_hist("h", &[("backend", "clear"), ("mode", "scl")], &folded);
+        assert_eq!(merged, observed);
+        // Into an existing series, too: split the stream in two folds.
+        let (mut a, mut b) = (Log2Hist::new(), Log2Hist::new());
+        for (i, &v) in samples.iter().enumerate() {
+            if i % 3 == 0 {
+                a.observe(v)
+            } else {
+                b.observe(v)
+            }
+        }
+        let mut twice = MetricsRegistry::new();
+        twice.merge_hist("h", &[("mode", "scl"), ("backend", "clear")], &a);
+        twice.merge_hist("h", &[("mode", "scl"), ("backend", "clear")], &b);
+        assert_eq!(twice, observed);
+        assert_eq!(twice.snapshot(), observed.snapshot());
     }
 
     #[test]

@@ -16,14 +16,15 @@ fn assess(label: &str, feed: impl FnOnce(&mut Discovery)) {
     let a = d.assess(|lines| lines.len() <= 12);
     let mode = decide(&a);
     println!("{label}:");
-    println!("  footprint = {:?}", a.footprint);
+    let footprint = d.alt().footprint();
+    println!("  footprint = {footprint:?}");
     println!(
         "  overflowed={} lockable={} immutable={}",
         a.overflowed, a.lockable, a.immutable
     );
     println!("  decision  = {mode}");
     if mode == RetryMode::NsCl || mode == RetryMode::SCl {
-        let order = lock_order(dir, &a.footprint);
+        let order = lock_order(dir, &footprint);
         println!("  lock order (line, last-of-group) = {order:?}");
     }
     println!();

@@ -24,11 +24,19 @@ fn discovered_footprint_locks_deadlock_free_in_order() {
     while ia < order_a.len() || ib < order_b.len() {
         steps += 1;
         assert!(steps < 1000, "livelock in ordered locking");
-        if ia < order_a.len() && sys.lock_line(CoreId(0), order_a[ia]).is_ok() {
+        if ia < order_a.len()
+            && sys
+                .lock_line(CoreId(0), order_a[ia], &mut Vec::new())
+                .is_ok()
+        {
             ia += 1;
             continue;
         }
-        if ib < order_b.len() && sys.lock_line(CoreId(1), order_b[ib]).is_ok() {
+        if ib < order_b.len()
+            && sys
+                .lock_line(CoreId(1), order_b[ib], &mut Vec::new())
+                .is_ok()
+        {
             ib += 1;
             continue;
         }
@@ -61,7 +69,7 @@ fn discovery_feeds_decision_feeds_lock_list() {
     let a = d.assess(|fp| sys.fits_locked(fp));
     assert_eq!(decide(&a), RetryMode::NsCl);
 
-    let mut alt = d.into_alt();
+    let mut alt = d.swap_alt(None);
     alt.mark_all_needs_locking();
     let list = alt.lock_list();
     assert_eq!(list.len(), 3);
@@ -112,18 +120,18 @@ fn nack_breaks_the_fig5_cycle() {
     // instead of waiting forever.
     let mut sys = CoherenceSystem::new(CoherenceConfig::table2(2));
     let (a, b) = (LineAddr(1), LineAddr(2));
-    sys.lock_line(CoreId(0), b).unwrap();
-    sys.lock_line(CoreId(1), a).unwrap();
+    sys.lock_line(CoreId(0), b, &mut Vec::new()).unwrap();
+    sys.lock_line(CoreId(1), a, &mut Vec::new()).unwrap();
 
-    let p0 = sys.probe(CoreId(0), a, clear_coherence::Access::Read);
-    let p1 = sys.probe(CoreId(1), b, clear_coherence::Access::Read);
+    let p0 = sys.probe(CoreId(0), a, clear_coherence::Access::Read, &mut Vec::new());
+    let p1 = sys.probe(CoreId(1), b, clear_coherence::Access::Read, &mut Vec::new());
     assert_eq!(p0.locked_by_other, Some(CoreId(1)));
     assert_eq!(p1.locked_by_other, Some(CoreId(0)));
     // The policy layer NACKs these loads; the aborting core releases its
     // locks, letting the other proceed.
     sys.unlock_all(CoreId(0));
     assert!(sys
-        .probe(CoreId(1), b, clear_coherence::Access::Read)
+        .probe(CoreId(1), b, clear_coherence::Access::Read, &mut Vec::new())
         .locked_by_other
         .is_none());
 }

@@ -100,7 +100,7 @@ fn fits_matches_pinned_insertion() {
 
         let geom = CacheGeometry::new(4, ways);
         let lines: Vec<LineAddr> = set.into_iter().map(LineAddr).collect();
-        let fits = SetAssocCache::<()>::fits_simultaneously(geom, lines.iter().copied());
+        let fits = SetAssocCache::<()>::fits_simultaneously(geom, &lines);
         let mut cache: SetAssocCache<()> = SetAssocCache::new(geom);
         let mut all_ok = true;
         for &l in &lines {
@@ -629,7 +629,7 @@ fn alt_random_sequences_keep_order_and_group_bits() {
                 0 | 1 => {
                     let _ = alt.observe(line, rng.flip());
                 }
-                2 => alt.mark_needs_locking(line),
+                2 => alt.mark_needs_locking_if(|l| l == line),
                 3 => alt.mark_locked(line),
                 4 => alt.mark_hit(line, rng.flip()),
                 _ => alt.reset_lock_state(),
@@ -684,13 +684,13 @@ fn alt_lock_list_bulk_unlocks_exactly_locked_set_at_xend() {
             .map(|_| LineAddr(64 + rng.below(64)))
             .collect();
         for &l in &other {
-            sys.lock_line(CoreId(1), l).unwrap();
+            sys.lock_line(CoreId(1), l, &mut Vec::new()).unwrap();
         }
         let other_locked = sys.locked_count(CoreId(1));
 
         let list = alt.lock_list();
         for &l in &list {
-            sys.lock_line(CoreId(0), l).unwrap();
+            sys.lock_line(CoreId(0), l, &mut Vec::new()).unwrap();
             alt.mark_locked(l);
         }
         assert_eq!(sys.locked_count(CoreId(0)), list.len(), "case {case}");
